@@ -16,6 +16,14 @@
 //! * every replica set contains every peer with that path;
 //! * a routing reference of peer `p` at level `l` points to a peer whose
 //!   path agrees with π(p) on the first `l` bits and differs at bit `l`.
+//!
+//! Both hot operations read the replica groups from one ordered map keyed
+//! by path, whose lexicographic order makes every trie region a
+//! contiguous run: [`Topology::responsible`] is a single O(log G) descent
+//! over the G distinct paths, and [`Topology::rebuild_routing`] collects
+//! each (peer, level) candidate pool from the sibling region's run instead
+//! of filtering all groups. The pools keep the order of the full filter,
+//! so a seeded build draws exactly the same routing tables.
 
 use crate::bits::BitString;
 use rand::seq::SliceRandom;
@@ -305,28 +313,61 @@ impl Topology {
 
     /// Re-sample all routing tables with `refs_per_level` entries per
     /// level.
+    ///
+    /// The pool of peer `p` at level `l` is every group whose path
+    /// extends — or is a prefix of — the sibling region `π(p)[..l]·¬π(p)[l]`,
+    /// in path order, each group's peers in peer order. It is read off the
+    /// ordered group map: the groups on prefixes of π(p) no longer than
+    /// `l` (there are none in a prefix-free topology; they sort before the
+    /// sibling) followed by the contiguous `range(sibling..)` run of
+    /// extensions.
+    /// That is the same pool, in the same order, as filtering every group,
+    /// so the one full `shuffle` per (peer, level) draws exactly what it
+    /// always drew and every seeded run keeps its routing tables and RNG
+    /// stream. The shuffle is kept deliberately: sampling only
+    /// `refs_per_level` entries would be cheaper but re-draws every table
+    /// and all key placement downstream, a versioned stream change.
+    ///
+    /// Cost per peer: O(|π|·log G) map lookups plus filling and shuffling
+    /// the pools (about N entries over all levels of a balanced trie),
+    /// instead of a filter over all G groups at each of the |π| levels.
+    /// Each level is stored at its exact length, so no pool capacity
+    /// outlives the build.
     pub fn rebuild_routing<R: Rng + ?Sized>(&mut self, refs_per_level: usize, rng: &mut R) {
-        let n = self.paths.len();
-        let mut routing = Vec::with_capacity(n);
-        for i in 0..n {
-            let path = &self.paths[i];
-            let mut levels = Vec::with_capacity(path.len());
-            for l in 0..path.len() {
-                let sibling = path.sibling_at(l);
-                // Peers whose path starts with (or is a prefix of) the
-                // sibling region.
-                let mut pool: Vec<PeerId> = self
-                    .groups
-                    .iter()
-                    .filter(|(p, _)| sibling.is_prefix_of(p) || p.is_prefix_of(&sibling))
-                    .flat_map(|(_, peers)| peers.iter().copied())
-                    .collect();
-                pool.shuffle(rng);
-                pool.truncate(refs_per_level);
-                levels.push(pool);
-            }
-            routing.push(levels);
-        }
+        let groups = &self.groups;
+        let mut pool: Vec<PeerId> = Vec::new();
+        let mut ancestors: Vec<(usize, &[PeerId])> = Vec::new();
+        let routing = self
+            .paths
+            .iter()
+            .map(|path| {
+                // The sibling at level `l` shares its first `l` bits with
+                // `path`, so its proper prefixes are the prefixes of
+                // `path` no longer than `l`.
+                ancestors.clear();
+                ancestors.extend(
+                    (0..path.len())
+                        .filter_map(|k| groups.get(&path.prefix(k)).map(|g| (k, g.as_slice()))),
+                );
+                (0..path.len())
+                    .map(|l| {
+                        let sibling = path.sibling_at(l);
+                        pool.clear();
+                        for (_, peers) in ancestors.iter().take_while(|(k, _)| *k <= l) {
+                            pool.extend_from_slice(peers);
+                        }
+                        for (_, peers) in groups
+                            .range(&sibling..)
+                            .take_while(|(p, _)| sibling.is_prefix_of(p))
+                        {
+                            pool.extend_from_slice(peers);
+                        }
+                        pool.shuffle(rng);
+                        pool[..refs_per_level.min(pool.len())].to_vec()
+                    })
+                    .collect()
+            })
+            .collect();
         self.routing = routing;
     }
 
@@ -356,10 +397,17 @@ impl Topology {
 
     /// All peers responsible for `key` (the replica set of the covering
     /// path); empty only if coverage is incomplete.
+    ///
+    /// One O(log G) map descent: in a prefix-free path set, the covering
+    /// path — a prefix of `key`, so ordered at or before it — is the
+    /// greatest path `<= key`, since any path ordered between the two
+    /// would have to extend it. Topologies that fail
+    /// [`validate`](Topology::validate) get no guarantee.
     pub fn responsible(&self, key: &BitString) -> &[PeerId] {
         self.groups
-            .iter()
-            .find(|(p, _)| p.is_prefix_of(key))
+            .range(..=key)
+            .next_back()
+            .filter(|(p, _)| p.is_prefix_of(key))
             .map(|(_, g)| g.as_slice())
             .unwrap_or(&[])
     }
@@ -376,28 +424,27 @@ impl Topology {
             id: peer,
             path,
             replicas,
-            refs: self.routing[peer.index()].clone(),
+            refs: self.refs(peer).to_vec(),
         }
+    }
+
+    /// A peer's routing table: `refs(p)[l]` are its level-`l` references.
+    pub fn refs(&self, peer: PeerId) -> &[Vec<PeerId>] {
+        &self.routing[peer.index()]
     }
 
     /// Check all structural invariants.
     pub fn validate(&self) -> Result<(), TopologyError> {
-        // Prefix-freeness of distinct paths.
+        // Prefix-freeness of distinct paths. The extensions of a path form
+        // a contiguous run right after it in path order, so a path that
+        // prefixes any other prefixes its immediate successor.
         let distinct: Vec<&BitString> = self.groups.keys().collect();
-        for (i, a) in distinct.iter().enumerate() {
-            for b in distinct.iter().skip(i + 1) {
-                if a.is_prefix_of(b) {
-                    return Err(TopologyError::PrefixOverlap {
-                        shorter: (*a).clone(),
-                        longer: (*b).clone(),
-                    });
-                }
-                if b.is_prefix_of(a) {
-                    return Err(TopologyError::PrefixOverlap {
-                        shorter: (*b).clone(),
-                        longer: (*a).clone(),
-                    });
-                }
+        for pair in distinct.windows(2) {
+            if pair[0].is_prefix_of(pair[1]) {
+                return Err(TopologyError::PrefixOverlap {
+                    shorter: pair[0].clone(),
+                    longer: pair[1].clone(),
+                });
             }
         }
         // Coverage: Σ 2^(depth - |π|) over distinct paths must be 2^depth.
@@ -439,6 +486,66 @@ impl Topology {
             }
         }
         Ok(())
+    }
+}
+
+/// The straightforward forms of the two indexed operations: the prefix
+/// range build and lookup must agree with these exactly.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Routing build by filtering every group for every (peer, level).
+    pub fn rebuild_routing<R: Rng + ?Sized>(t: &mut Topology, refs_per_level: usize, rng: &mut R) {
+        let mut routing = Vec::with_capacity(t.paths.len());
+        for path in &t.paths {
+            let mut levels = Vec::with_capacity(path.len());
+            for l in 0..path.len() {
+                let sibling = path.sibling_at(l);
+                let mut pool: Vec<PeerId> = t
+                    .groups
+                    .iter()
+                    .filter(|(p, _)| sibling.is_prefix_of(p) || p.is_prefix_of(&sibling))
+                    .flat_map(|(_, peers)| peers.iter().copied())
+                    .collect();
+                pool.shuffle(rng);
+                pool.truncate(refs_per_level);
+                levels.push(pool);
+            }
+            routing.push(levels);
+        }
+        t.routing = routing;
+    }
+
+    /// Responsible group by a linear scan over all groups.
+    pub fn responsible<'a>(t: &'a Topology, key: &BitString) -> &'a [PeerId] {
+        t.groups
+            .iter()
+            .find(|(p, _)| p.is_prefix_of(key))
+            .map(|(_, g)| g.as_slice())
+            .unwrap_or(&[])
+    }
+
+    /// Rebuild `t`'s routing with the indexed build and with the
+    /// filter-all reference from the same seed: the tables and the next
+    /// draw must agree. On a prefix-free topology every key must also get
+    /// the reference's responsible group.
+    pub fn check(t: &Topology, refs_per_level: usize, seed: u64, keys: &[BitString]) {
+        let mut fast = t.clone();
+        let mut slow = t.clone();
+        let mut r1 = StdRng::seed_from_u64(seed);
+        let mut r2 = StdRng::seed_from_u64(seed);
+        fast.rebuild_routing(refs_per_level, &mut r1);
+        rebuild_routing(&mut slow, refs_per_level, &mut r2);
+        assert_eq!(&fast.routing, &slow.routing);
+        assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
+        if !matches!(t.validate(), Err(TopologyError::PrefixOverlap { .. })) {
+            for key in keys {
+                assert_eq!(fast.responsible(key), responsible(&fast, key));
+            }
+        }
     }
 }
 
@@ -566,6 +673,23 @@ mod tests {
     }
 
     #[test]
+    fn routing_lists_hold_no_surplus_capacity() {
+        let t = Topology::balanced(3000, 2, &mut rng());
+        for levels in &t.routing {
+            for refs in levels {
+                assert!(refs.capacity() <= 2, "capacity {}", refs.capacity());
+            }
+        }
+    }
+
+    #[test]
+    fn single_peer_matches_reference() {
+        let t = Topology::balanced(1, 2, &mut rng());
+        let keys = ["", "0", "1011"].map(BitString::parse);
+        reference::check(&t, 2, 42, &keys);
+    }
+
+    #[test]
     fn validate_catches_incomplete_coverage() {
         let paths = vec![BitString::parse("00"), BitString::parse("01")];
         let t = Topology::from_paths(paths, 1, &mut rng());
@@ -581,6 +705,13 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// Bit strings from `(value, len)` pairs.
+    fn bit_strings(raw: &[(u64, usize)]) -> Vec<BitString> {
+        raw.iter()
+            .map(|&(v, len)| BitString::from_u64(v, len))
+            .collect()
+    }
 
     proptest! {
         /// Balanced topologies of any size validate and give every key a
@@ -601,6 +732,57 @@ mod proptests {
             let t = Topology::balanced(n, 2, &mut rng);
             let total: usize = t.groups().map(|(_, g)| g.len()).sum();
             prop_assert_eq!(total, n);
+        }
+    }
+
+    proptest! {
+        // The references cost O(N·|π|·G) per build: few, large cases.
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Balanced tries of every size: the indexed routing build and
+        /// lookup agree with the references, keys of every length
+        /// (shorter than the paths included).
+        #[test]
+        fn balanced_matches_reference(
+            n in 1usize..600,
+            refs in 1usize..4,
+            seed in any::<u64>(),
+            keys in proptest::collection::vec((any::<u64>(), 0usize..14), 1..40),
+        ) {
+            let t = Topology::balanced(n, refs, &mut rand::rngs::StdRng::seed_from_u64(seed));
+            reference::check(&t, refs, seed ^ 1, &bit_strings(&keys));
+        }
+
+        /// Data-adapted (unbalanced) tries agree with the references.
+        #[test]
+        fn adapted_matches_reference(
+            data in proptest::collection::vec(any::<u64>(), 1..300),
+            n in 1usize..200,
+            max_load in 1usize..40,
+            max_depth in 1usize..12,
+            seed in any::<u64>(),
+            keys in proptest::collection::vec((any::<u64>(), 0usize..16), 1..40),
+        ) {
+            let data: Vec<BitString> = data.iter().map(|&v| BitString::from_u64(v, 16)).collect();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let t = Topology::adapted(&data, n, max_load, max_depth, 2, &mut rng);
+            reference::check(&t, 2, seed ^ 1, &bit_strings(&keys));
+        }
+
+        /// Arbitrary path sets — overlapping ones included, where groups
+        /// on proper prefixes of a peer's path join its pools — build the
+        /// reference's tables; the prefix-free ones (complete or not)
+        /// also resolve every key alike.
+        #[test]
+        fn arbitrary_paths_match_reference(
+            paths in proptest::collection::vec((any::<u64>(), 0usize..6), 1..40),
+            refs in 1usize..4,
+            seed in any::<u64>(),
+            keys in proptest::collection::vec((any::<u64>(), 0usize..8), 1..40),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let t = Topology::from_paths(bit_strings(&paths), refs, &mut rng);
+            reference::check(&t, refs, seed ^ 1, &bit_strings(&keys));
         }
     }
 }
