@@ -246,6 +246,46 @@ pub struct ExecStats {
     pub migrations: usize,
 }
 
+impl std::ops::Add for ExecStats {
+    type Output = ExecStats;
+
+    /// Field-wise sum: the one fold that turns unit ledgers into session
+    /// and lifetime totals (a struct literal, so a new counter cannot be
+    /// left out of it). A unit's `max_in_flight` is the amount it raised
+    /// the session's high-water mark by, so it sums too.
+    fn add(self, d: ExecStats) -> ExecStats {
+        ExecStats {
+            messages: self.messages + d.messages,
+            subqueries: self.subqueries + d.subqueries,
+            reformulations: self.reformulations + d.reformulations,
+            schemas_visited: self.schemas_visited + d.schemas_visited,
+            failures: self.failures + d.failures,
+            bindings_shipped: self.bindings_shipped + d.bindings_shipped,
+            max_in_flight: self.max_in_flight + d.max_in_flight,
+            mapping_fetches: self.mapping_fetches + d.mapping_fetches,
+            cache_hits: self.cache_hits + d.cache_hits,
+            cache_misses: self.cache_misses + d.cache_misses,
+            cache_evictions: self.cache_evictions + d.cache_evictions,
+            requests: self.requests + d.requests,
+            sends: self.sends + d.sends,
+            timeouts: self.timeouts + d.timeouts,
+            retransmits: self.retransmits + d.retransmits,
+            duplicates_dropped: self.duplicates_dropped + d.duplicates_dropped,
+            assessment_probes: self.assessment_probes + d.assessment_probes,
+            quarantined_mappings: self.quarantined_mappings + d.quarantined_mappings,
+            replica_hits: self.replica_hits + d.replica_hits,
+            failovers: self.failovers + d.failovers,
+            migrations: self.migrations + d.migrations,
+        }
+    }
+}
+
+impl std::ops::AddAssign for ExecStats {
+    fn add_assign(&mut self, d: ExecStats) {
+        *self = *self + d;
+    }
+}
+
 /// What one [`GridVineSystem::execute`] call produced: solution rows
 /// (projected onto the distinguished variables, deduplicated, sorted)
 /// plus the shared [`ExecStats`].
@@ -289,33 +329,6 @@ impl QueryOutcome {
 
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-}
-
-/// One pattern's traversal of the mapping network (the per-pattern
-/// inner loop of join plans; single-pattern closures run the same hops
-/// through the incremental session state instead).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct NetSweep {
-    pub(crate) bindings: Vec<Binding>,
-    /// Per-hop counters accumulated via [`SweepHop::charge`]
-    /// (`bindings_shipped` stays 0 here — the sweep level charges it
-    /// from `bindings`).
-    stats: ExecStats,
-}
-
-impl NetSweep {
-    /// Fold this pattern-level traversal into the plan-level stats.
-    pub(crate) fn charge(&self, stats: &mut ExecStats) {
-        stats.subqueries += self.stats.subqueries;
-        stats.reformulations += self.stats.reformulations;
-        stats.schemas_visited += self.stats.schemas_visited;
-        stats.failures += self.stats.failures;
-        stats.bindings_shipped += self.bindings.len();
-        stats.mapping_fetches += self.stats.mapping_fetches;
-        stats.cache_hits += self.stats.cache_hits;
-        stats.cache_misses += self.stats.cache_misses;
-        stats.cache_evictions += self.stats.cache_evictions;
     }
 }
 
@@ -420,8 +433,7 @@ impl SweepHop {
     /// Fold this hop into the consumer's counters — the one charging
     /// rule both the session and the bulk sweep apply, so their
     /// accounting cannot drift. `bindings_shipped` is charged by the
-    /// consumer (it decides whether bindings are shipped per hop or
-    /// aggregated per sweep).
+    /// consumer once it takes the bindings.
     pub(crate) fn charge(&self, stats: &mut ExecStats) {
         stats.subqueries += 1;
         stats.schemas_visited += 1;
@@ -509,6 +521,7 @@ impl ClosureSweep {
     pub(crate) fn resolve_next(
         &mut self,
         sys: &mut GridVineSystem,
+        unit: &mut sched::Unit,
         origin: PeerId,
     ) -> Result<Option<SweepHop>, SystemError> {
         match self {
@@ -531,7 +544,7 @@ impl ClosureSweep {
                 // also `issuer`); recursive replays from the delegate
                 // peer that memoized the closure.
                 let from = if hop.depth == 0 { origin } else { *issuer };
-                let bindings = sys.resolve_pattern_once(from, &pat).ok();
+                let bindings = sys.resolve_pattern_once(unit, from, &pat).ok();
                 Ok(Some(SweepHop {
                     schema: hop.schema,
                     depth: hop.depth,
@@ -558,7 +571,7 @@ impl ClosureSweep {
                     depth,
                     quality,
                 });
-                let bindings = sys.resolve_pattern_once(at_peer, &pat).ok();
+                let bindings = sys.resolve_pattern_once(unit, at_peer, &pat).ok();
                 let hop = SweepHop {
                     schema: schema.clone(),
                     depth,
@@ -597,10 +610,10 @@ impl ClosureSweep {
     pub(crate) fn expand_pending(
         &mut self,
         sys: &mut GridVineSystem,
+        unit: &mut sched::Unit,
         origin: PeerId,
         strategy: Strategy,
         ttl: usize,
-        stats: &mut ExecStats,
     ) -> Result<Expansion, SystemError> {
         let ClosureSweep::Cold {
             pattern,
@@ -620,16 +633,16 @@ impl ClosureSweep {
         let mut admitted = Vec::new();
         if hop.depth < ttl {
             let (next_peer, mappings) =
-                match sys.discover_mappings(origin, hop.at_peer, &hop.schema, strategy) {
+                match sys.discover_mappings(unit, origin, hop.at_peer, &hop.schema, strategy) {
                     Ok(found) => found,
                     Err(SystemError::PeerDown(_)) => {
-                        stats.failures += 1;
+                        unit.stats.failures += 1;
                         *tainted = true;
                         return Ok(Expansion { admitted });
                     }
                     Err(e) => return Err(e),
                 };
-            stats.mapping_fetches += 1;
+            unit.stats.mapping_fetches += 1;
             if strategy == Strategy::Recursive && hop.depth == 0 {
                 *delegate = Some(next_peer);
                 // The delegate may have memoized this closure from an
@@ -639,7 +652,7 @@ impl ClosureSweep {
                 let cached = sys.exec_state_mut(next_peer).cache.lookup(epoch, &record.0);
                 match cached {
                     Some(hops) => {
-                        stats.cache_hits += 1;
+                        unit.stats.cache_hits += 1;
                         let admitted: Vec<SchemaId> =
                             hops.iter().skip(1).map(|h| h.schema.clone()).collect();
                         let pattern = pattern.clone();
@@ -651,7 +664,7 @@ impl ClosureSweep {
                         };
                         return Ok(Expansion { admitted });
                     }
-                    None => stats.cache_misses += 1,
+                    None => unit.stats.cache_misses += 1,
                 }
             }
             for m in mappings {
@@ -686,7 +699,8 @@ impl ClosureSweep {
                 let cache = &mut sys.exec_state_mut(at).cache;
                 let evictions_before = cache.counters().evictions;
                 cache.insert(epoch, key, hops);
-                stats.cache_evictions += (cache.counters().evictions - evictions_before) as usize;
+                unit.stats.cache_evictions +=
+                    (cache.counters().evictions - evictions_before) as usize;
             }
         }
         Ok(Expansion { admitted })
@@ -730,6 +744,7 @@ impl GridVineSystem {
     /// layer; the response message is charged exactly as a `Retrieve`.
     pub(crate) fn resolve_pattern_once(
         &mut self,
+        unit: &mut sched::Unit,
         origin: PeerId,
         pattern: &TriplePattern,
     ) -> Result<Vec<Binding>, SystemError> {
@@ -741,7 +756,7 @@ impl GridVineSystem {
         // fail over across the replica set before reporting PeerDown.
         // Returns None under the null policy — the classic routed
         // path below then runs with untouched accounting and RNG.
-        if let Some(resolved) = self.replica_route(origin, term.lexical()) {
+        if let Some(resolved) = self.replica_route(unit, origin, term.lexical()) {
             let dest = resolved?;
             let db = &self.local_dbs[dest.index()];
             return Ok(db.match_pattern(pattern));
@@ -751,7 +766,7 @@ impl GridVineSystem {
         self.overlay.charge_response(origin, route.destination);
         // The request (and the response charge) went out; the retry
         // protocol decides whether a reply ever comes back.
-        self.proto_request(origin, route.destination)?;
+        self.proto_request(unit, origin, route.destination)?;
         let db = &self.local_dbs[route.destination.index()];
         Ok(db.match_pattern(pattern))
     }
@@ -763,17 +778,18 @@ impl GridVineSystem {
     /// issuer. Returns `(issuing peer for the next hops, mappings)`.
     pub(crate) fn discover_mappings(
         &mut self,
+        unit: &mut sched::Unit,
         origin: PeerId,
         at_peer: PeerId,
         schema: &SchemaId,
         strategy: Strategy,
     ) -> Result<(PeerId, Vec<Mapping>), SystemError> {
         match strategy {
-            Strategy::Iterative => Ok((origin, self.mappings_at_schema(origin, schema)?)),
+            Strategy::Iterative => Ok((origin, self.mappings_at_schema(unit, origin, schema)?)),
             Strategy::Recursive => {
                 let schema_key = self.key_of(schema.as_str());
                 let route = self.overlay.route(at_peer, &schema_key, &mut self.rng)?;
-                self.proto_request(at_peer, route.destination)?;
+                self.proto_request(unit, at_peer, route.destination)?;
                 let items = self
                     .overlay
                     .store(route.destination)
@@ -793,9 +809,10 @@ impl GridVineSystem {
 
     /// Resolve a pattern over the mapping network: answer it in its own
     /// schema, then in every schema reachable through active mappings
-    /// (within the TTL), aggregating bindings. Patterns whose predicate
-    /// is a variable (or does not name a schema) are resolved once,
-    /// without reformulation — there is no schema to translate from.
+    /// (within the TTL), aggregating bindings and charging every hop
+    /// into `unit`. Patterns whose predicate is a variable (or does not
+    /// name a schema) are resolved once, without reformulation — there
+    /// is no schema to translate from.
     ///
     /// Under the iterative strategy the fully-expanded closure is
     /// memoized in the system's epoch-keyed
@@ -807,17 +824,19 @@ impl GridVineSystem {
     /// closure state; both record and replay the same cache entries.
     pub(crate) fn sweep_pattern_network(
         &mut self,
+        unit: &mut sched::Unit,
         origin: PeerId,
         pattern: &TriplePattern,
         strategy: Strategy,
         ttl: usize,
-    ) -> Result<NetSweep, SystemError> {
-        let mut net = NetSweep::default();
+    ) -> Result<Vec<Binding>, SystemError> {
         let Ok((origin_schema, attr)) = gridvine_semantic::pattern_schema(pattern) else {
-            // Un-schema'd pattern: a single routed resolution.
-            net.stats.subqueries = 1;
-            net.bindings = self.resolve_pattern_once(origin, pattern)?;
-            return Ok(net);
+            // Un-schema'd pattern: a single routed resolution, counted
+            // once it answers.
+            let bindings = self.resolve_pattern_once(unit, origin, pattern)?;
+            unit.stats.subqueries += 1;
+            unit.stats.bindings_shipped += bindings.len();
+            return Ok(bindings);
         };
         let mut sweep = ClosureSweep::open(
             self,
@@ -827,15 +846,17 @@ impl GridVineSystem {
             attr,
             strategy,
             ttl,
-            &mut net.stats,
+            &mut unit.stats,
         );
-        while let Some(hop) = sweep.resolve_next(self, origin)? {
-            hop.charge(&mut net.stats);
-            if let Some(bindings) = hop.bindings {
-                net.bindings.extend(bindings);
+        let mut bindings = Vec::new();
+        while let Some(hop) = sweep.resolve_next(self, unit, origin)? {
+            hop.charge(&mut unit.stats);
+            if let Some(found) = hop.bindings {
+                unit.stats.bindings_shipped += found.len();
+                bindings.extend(found);
             }
-            sweep.expand_pending(self, origin, strategy, ttl, &mut net.stats)?;
+            sweep.expand_pending(self, unit, origin, strategy, ttl)?;
         }
-        Ok(net)
+        Ok(bindings)
     }
 }

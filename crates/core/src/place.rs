@@ -40,7 +40,7 @@
 //! ## Heat telemetry
 //!
 //! Every replica-path access bumps a windowed per-key counter on the
-//! protocol clock (`ProtocolState::now`).
+//! serving unit's clock (`Unit::now`).
 //! Reaching [`PlacementPolicy::heat_threshold`] accesses within one
 //! [`PlacementPolicy::heat_window`] raises a [`HeatSpike`], handled
 //! inline in the serving unit so its copies are charged as that unit's
@@ -53,11 +53,16 @@
 //!   ([`SpikeAction::Migrate`]) — σ owners never move, so prefix scans
 //!   and null-policy routing always find the natural copies.
 //!
-//! `replica_hits` / `failovers` / `migrations` join
-//! [`ExecStats`](super::exec::ExecStats) (diffed per issued unit, like
-//! the protocol counters) and surface as
+//! `replica_hits` / `failovers` / `migrations` are charged into the
+//! serving unit's ledger (`sched::Unit`) where they happen, so they
+//! join that unit's [`ExecStats`](super::exec::ExecStats) delta like
+//! every other cost, and surface as lifetime
 //! [`gridvine_netsim::ReplicaCounters`] via
 //! [`GridVineSystem::replica_counters`].
+//!
+//! Insert-time provisioning runs outside any unit: it judges candidate
+//! liveness at the inserting origin's own clock, so an insert never
+//! depends on which sessions other origins happened to run before it.
 //!
 //! ## Determinism
 //!
@@ -71,6 +76,7 @@
 //! before liveness is probed, so the model's placement stream advances
 //! identically in faulty and fault-free runs.
 
+use super::sched::Unit;
 use super::{GridVineSystem, SystemError};
 use gridvine_netsim::{NodeId, ReplicaCounters, SimDuration, SimTime};
 use gridvine_pgrid::{BitString, PeerId};
@@ -201,16 +207,6 @@ pub struct HeatSpike {
     pub action: SpikeAction,
 }
 
-/// Running placement counters, accumulated system-wide and diffed per
-/// issued unit into [`ExecStats`](super::exec::ExecStats) — exactly
-/// like [`ProtoCounters`](super::ProtoCounters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct PlaceCounters {
-    pub(crate) replica_hits: usize,
-    pub(crate) failovers: usize,
-    pub(crate) migrations: usize,
-}
-
 #[derive(Debug)]
 struct HeatWindow {
     since: SimTime,
@@ -219,7 +215,7 @@ struct HeatWindow {
 
 /// Runtime placement state: the configured policy, the replica
 /// registry (extra holders per key, beyond the natural σ owners), the
-/// heat windows and the lifetime counters.
+/// heat windows and the spike log.
 #[derive(Debug)]
 pub(crate) struct PlacementState {
     pub(crate) policy: PlacementPolicy,
@@ -228,7 +224,6 @@ pub(crate) struct PlacementState {
     /// never appear here.
     extras: BTreeMap<BitString, Vec<PeerId>>,
     heat: BTreeMap<BitString, HeatWindow>,
-    pub(crate) counters: PlaceCounters,
     spikes: Vec<HeatSpike>,
 }
 
@@ -238,7 +233,6 @@ impl PlacementState {
             policy,
             extras: BTreeMap::new(),
             heat: BTreeMap::new(),
-            counters: PlaceCounters::default(),
             spikes: Vec::new(),
         }
     }
@@ -299,6 +293,7 @@ impl GridVineSystem {
     /// classic routed path, so the null policy touches nothing.
     pub(crate) fn replica_route(
         &mut self,
+        unit: &mut Unit,
         origin: PeerId,
         lexical: &str,
     ) -> Option<Result<PeerId, SystemError>> {
@@ -307,8 +302,8 @@ impl GridVineSystem {
         }
         let rule = self.place.policy.rule_for(lexical)?.clone();
         let key = self.key_of(lexical);
-        if let Some(count) = self.place.record_access(&key, self.proto.now) {
-            self.heat_spike(origin, &key, lexical, count, &rule);
+        if let Some(count) = self.place.record_access(&key, unit.now) {
+            self.heat_spike(unit, origin, &key, lexical, count, &rule);
         }
         let holders = self.holders_of(&key);
         // Rank every holder before probing liveness: the latency
@@ -322,19 +317,19 @@ impl GridVineSystem {
         let mut down = None;
         for &(_, c) in &ranked {
             let c = PeerId(c);
-            match self.proto_request(origin, c) {
+            match self.proto_request(unit, origin, c) {
                 Ok(()) => {
                     // A direct request/response exchange with a known
                     // holder: no DHT walk, no routing-RNG draw.
                     self.overlay.charge_direct(origin, c, 2);
-                    self.place.counters.replica_hits += 1;
+                    unit.stats.replica_hits += 1;
                     return Some(Ok(c));
                 }
                 Err(SystemError::PeerDown(p)) => {
                     // The unanswered request was still sent (and its
                     // retry backoffs accumulated in the unit's delay).
                     self.overlay.charge_direct(origin, c, 1);
-                    self.place.counters.failovers += 1;
+                    unit.stats.failovers += 1;
                     down = Some(SystemError::PeerDown(p));
                 }
                 Err(e) => return Some(Err(e)),
@@ -356,13 +351,15 @@ impl GridVineSystem {
         if self.place.policy.is_null() {
             return Ok(());
         }
+        // Candidate liveness is judged at the inserting origin's clock.
+        let at = self.exec_state(origin).clock;
         let lexicals = [t.subject.as_str(), t.predicate.as_str(), t.object.lexical()];
         for (key, lexical) in keys.iter().zip(lexicals) {
             let Some(rule) = self.place.policy.rule_for(lexical).cloned() else {
                 continue;
             };
             self.fan_out_insert(origin, key, t)?;
-            self.ensure_factor(origin, key, &rule)?;
+            self.ensure_factor(origin, key, &rule, at)?;
         }
         Ok(())
     }
@@ -402,19 +399,20 @@ impl GridVineSystem {
     }
 
     /// Commit replicas until `key` has `rule.factor` holders (or no
-    /// live non-holder remains).
+    /// non-holder is live at `at`).
     fn ensure_factor(
         &mut self,
         origin: PeerId,
         key: &BitString,
         rule: &PlacementRule,
+        at: SimTime,
     ) -> Result<(), SystemError> {
         loop {
             let holders = self.holders_of(key);
             if holders.len() >= rule.factor {
                 return Ok(());
             }
-            let Some((_, target)) = self.best_new_holder(origin, &holders) else {
+            let Some((_, target)) = self.best_new_holder(origin, &holders, at) else {
                 return Ok(());
             };
             self.commit_replica(origin, key, target)?;
@@ -501,13 +499,14 @@ impl GridVineSystem {
     /// charge as that unit's messages and latency).
     fn heat_spike(
         &mut self,
+        unit: &mut Unit,
         origin: PeerId,
         key: &BitString,
         lexical: &str,
         count: usize,
         rule: &PlacementRule,
     ) {
-        let at = self.proto.now;
+        let at = unit.now;
         let owners = self.topology.responsible(key).len();
         let holders = self.holders_of(key);
         // Score every holder before filtering liveness so the latency
@@ -530,7 +529,7 @@ impl GridVineSystem {
         let action = if within_target {
             SpikeAction::Hold
         } else {
-            match self.best_new_holder(origin, &holders) {
+            match self.best_new_holder(origin, &holders, at) {
                 Some((d, to)) if best_current.is_none_or(|b| d < b) => {
                     // Allow at least one heat-driven extra even when the
                     // factor is within the natural σ-group size.
@@ -538,7 +537,7 @@ impl GridVineSystem {
                     if holders.len() < cap {
                         match self.commit_replica(origin, key, to) {
                             Ok(()) => {
-                                self.place.counters.migrations += 1;
+                                unit.stats.migrations += 1;
                                 SpikeAction::Replicate(to)
                             }
                             Err(_) => SpikeAction::Hold,
@@ -556,7 +555,7 @@ impl GridVineSystem {
                                 let from = PeerId(from);
                                 match self.migrate_replica(origin, key, from, to) {
                                     Ok(()) => {
-                                        self.place.counters.migrations += 1;
+                                        unit.stats.migrations += 1;
                                         SpikeAction::Migrate { from, to }
                                     }
                                     Err(_) => SpikeAction::Hold,
@@ -578,16 +577,16 @@ impl GridVineSystem {
         });
     }
 
-    /// The cheapest live non-holder from `origin`, ties broken by peer
-    /// index. Expected latency is computed for **every** non-holder
-    /// before liveness filtering so the model stream stays independent
-    /// of the crash/churn state.
+    /// The cheapest non-holder live at `at` from `origin`, ties broken
+    /// by peer index. Expected latency is computed for **every**
+    /// non-holder before liveness filtering so the model stream stays
+    /// independent of the crash/churn state.
     fn best_new_holder(
         &mut self,
         origin: PeerId,
         holders: &[PeerId],
+        at: SimTime,
     ) -> Option<(SimDuration, PeerId)> {
-        let at = self.proto.now;
         let mut best: Option<(SimDuration, u32)> = None;
         for i in 0..self.config.peers {
             let p = PeerId::from_index(i);
@@ -655,7 +654,7 @@ impl GridVineSystem {
     /// Lifetime replica-placement counters: replica-path serves,
     /// failovers past dead holders, heat-driven creations/migrations.
     pub fn replica_counters(&self) -> ReplicaCounters {
-        let c = self.place.counters;
+        let c = &self.totals;
         ReplicaCounters {
             replica_hits: c.replica_hits as u64,
             failovers: c.failovers as u64,

@@ -29,13 +29,30 @@
 //!
 //! ## Latency model
 //!
-//! A unit's latency is proportional to the overlay messages it charged
-//! (`unit_latency`): `PROCESSING + messages × PER_MESSAGE`, with one
-//! simulated millisecond per overlay message. This ties the clock to
-//! the same accounting the synchronous system has always reported —
-//! a warm cache replay is faster *because* it sends fewer messages —
-//! and keeps the model deterministic. The WAN harness remains the
-//! place for heavy-tailed regional latency distributions.
+//! A unit takes `PROCESSING`, plus one network delay per overlay
+//! message it charged, plus the backoff its retried requests
+//! accumulated. Under the default flat
+//! [`GridVineConfig::latency`](super::GridVineConfig) each message costs
+//! `PER_MESSAGE` (`unit_latency`) — a warm cache replay is faster
+//! *because* it sends fewer messages — and no randomness is drawn. Any
+//! other `LatencyConfig` (e.g. the PlanetLab regional WAN) samples one
+//! origin → destination delay per message from its own seeded model,
+//! the destination being the peer the unit's last routed request went
+//! to (`Unit::dest`; the origin itself if it routed nothing).
+//!
+//! ## The cost ledger
+//!
+//! Each unit — a session issue, an assessment probe or refresh — owns a
+//! `Unit` ledger: send instant, retry budget, accumulated backoff,
+//! destination and [`ExecStats`]. It is passed `&mut` to everything
+//! doing the unit's work, which charges requests, sends, timeouts,
+//! retransmits, replica hits, failovers and migrations where they
+//! happen; the overlay messages are read once, as the unit closes
+//! ([`GridVineSystem::run_unit`](super::GridVineSystem)). The closed
+//! ledger's stats are the unit's [`ResultEvent::Stats`] delta and fold,
+//! by one field-wise `ExecStats` add, into the session and lifetime
+//! totals. No unit state lives on the shared system, so no other work
+//! can read a clock or budget a unit left behind.
 //!
 //! ## The request/response protocol
 //!
@@ -50,7 +67,7 @@
 //! lifecycle:
 //!
 //! ```text
-//!           issue (logical work runs, counters charge)
+//!           issue (logical work runs, its ledger charges)
 //!             │
 //!             ▼
 //!  ┌──► in flight ───reply───► completed (delivered once; any
@@ -105,7 +122,7 @@
 //! Semantic defenses run as scheduler work, not magic: an
 //! [`assessment_pass`](super::GridVineSystem::assessment_pass) issues
 //! one routed probe per mapping cycle, charged as messages and latency
-//! in [`ExecStats`](super::exec::ExecStats) (`assessment_probes`)
+//! in [`ExecStats`] (`assessment_probes`)
 //! exactly like a subquery, and every status transition bumps the
 //! registry epoch so closure caches self-invalidate rather than replay
 //! a hop through a quarantined edge.
@@ -161,9 +178,11 @@
 //! (`refs_per_level = 1`) per-session results and stats are provably
 //! independent of the interleaving itself.
 
+use super::exec::ExecStats;
 use super::pool::SessionId;
 use super::session::ResultEvent;
 use gridvine_netsim::{EventQueue, SimDuration, SimTime};
+use gridvine_pgrid::PeerId;
 use gridvine_semantic::ClosureCache;
 
 /// Fixed per-unit processing overhead (destination-side evaluation).
@@ -181,6 +200,35 @@ pub(crate) const RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(5);
 /// messages.
 pub(crate) fn unit_latency(messages: u64) -> SimDuration {
     SimDuration(PROCESSING.0 + messages.saturating_mul(PER_MESSAGE.0))
+}
+
+/// The cost ledger of one unit (see the module docs).
+#[derive(Debug)]
+pub(crate) struct Unit {
+    /// The unit's send instant: the base of its request attempts'
+    /// churn-liveness checks and of the heat windows it bumps.
+    pub(crate) now: SimTime,
+    /// Retransmit budget of every request the unit drives.
+    pub(crate) max_retries: usize,
+    /// Timeout/backoff delay the unit's retried requests accumulated,
+    /// folded into its completion instant.
+    pub(crate) delay: SimDuration,
+    /// Destination of the unit's last routed request.
+    pub(crate) dest: Option<PeerId>,
+    /// Everything the unit charged.
+    pub(crate) stats: ExecStats,
+}
+
+impl Unit {
+    pub(crate) fn new(now: SimTime, max_retries: usize) -> Unit {
+        Unit {
+            now,
+            max_retries,
+            delay: SimDuration::ZERO,
+            dest: None,
+            stats: ExecStats::default(),
+        }
+    }
 }
 
 /// The reply of one in-flight unit, scheduled at its completion

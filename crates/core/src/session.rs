@@ -140,7 +140,7 @@
 use super::conjunctive::JoinMode;
 use super::exec::{one_var_row, ClosureSweep, ExecStats, QueryOptions, QueryOutcome};
 use super::pool::SessionId;
-use super::sched::QueuedReply;
+use super::sched::{QueuedReply, Unit};
 use super::*;
 use crate::plan::{object_prefix_core, QueryPlan};
 use gridvine_netsim::{SimDuration, SimTime};
@@ -282,8 +282,7 @@ pub(crate) struct SessionCore {
     ttl: usize,
     limit: Option<usize>,
     window: usize,
-    /// Retransmit budget armed onto the shared protocol state at every
-    /// issue (sessions with different budgets interleave correctly).
+    /// Retransmit budget of every unit's ledger.
     max_retries: usize,
     /// Units issued whose reply has not been delivered yet — this
     /// session's share of the origin queue (which other sessions may
@@ -293,14 +292,13 @@ pub(crate) struct SessionCore {
     /// Request ids already delivered: a duplicated reply popping a
     /// second time is dropped, never double-charged.
     seen_replies: HashSet<u64>,
-    /// Cumulative counters, folded in per issue (messages and protocol
-    /// counters as deltas of the shared system counters around each
-    /// issue, so concurrent sessions never charge each other's work)
-    /// and at delivery (`duplicates_dropped`).
+    /// Every issued unit's ledger, folded in as the unit closes (a
+    /// failing unit's charges included).
     stats: ExecStats,
-    /// The cumulative state already folded into per-unit `Stats`
-    /// deltas.
-    issued_reported: ExecStats,
+    /// Charges made outside any unit — the closure cache lookup at open,
+    /// duplicate replies dropped at delivery — carried into the next
+    /// unit's `Stats` delta.
+    carry: ExecStats,
     /// Accumulated distinct solution rows, discovery order.
     rows: Vec<Binding>,
     order_by: RowOrder,
@@ -381,12 +379,7 @@ impl SessionCore {
         started_at: SimTime,
     ) -> Result<SessionCore, SystemError> {
         let ttl = options.ttl.unwrap_or(sys.config.ttl);
-        // Arm the retry protocol immediately so work between open and
-        // the first issue (none today) would see this query's budget;
-        // every issue re-arms it, which is what makes interleaved
-        // sessions with different budgets correct.
-        sys.proto.max_retries = options.max_retries;
-        let mut stats = ExecStats::default();
+        let mut carry = ExecStats::default();
         let state = match plan {
             QueryPlan::Pattern { query } => {
                 if query.pattern.routing_constant().is_none() {
@@ -436,7 +429,7 @@ impl SessionCore {
                     attr,
                     options.strategy,
                     ttl,
-                    &mut stats,
+                    &mut carry,
                 );
                 State::Closure {
                     query: query.clone(),
@@ -499,8 +492,8 @@ impl SessionCore {
             max_retries: options.max_retries,
             inflight: 0,
             seen_replies: HashSet::new(),
-            stats,
-            issued_reported: ExecStats::default(),
+            stats: ExecStats::default(),
+            carry,
             rows: Vec::new(),
             order_by,
             delivered: VecDeque::new(),
@@ -557,7 +550,7 @@ impl SessionCore {
             // A duplicated reply: this unit was already delivered and
             // folded in — drop the copy so rows, messages and
             // accounting are never double-charged.
-            self.stats.duplicates_dropped += 1;
+            self.carry.duplicates_dropped += 1;
             return None;
         }
         Some(reply.events)
@@ -579,7 +572,7 @@ impl SessionCore {
     /// Cumulative execution counters so far. Work is accounted at
     /// *issue*, so in-flight units are already counted.
     pub(crate) fn stats(&self) -> ExecStats {
-        self.stats
+        self.stats + self.carry
     }
 
     pub(crate) fn rows(&self) -> &[Binding] {
@@ -605,7 +598,7 @@ impl SessionCore {
         }
         QueryOutcome {
             rows,
-            stats: self.stats,
+            stats: self.stats(),
         }
     }
 
@@ -614,66 +607,44 @@ impl SessionCore {
         self.limit.is_some_and(|k| self.rows.len() >= k)
     }
 
-    /// Issue the next canonical unit: run its logical work, charge its
-    /// counters, compute its send/completion instants and schedule its
+    /// Issue the next canonical unit: run its logical work on a fresh
+    /// ledger, compute its send/completion instants and schedule its
     /// reply on the origin peer's event queue.
     fn issue_step(&mut self, sys: &mut GridVineSystem) -> Result<(), SystemError> {
         if self.limit_reached() {
             self.state = State::Done;
             return Ok(());
         }
-        // Arm the retry protocol for this unit: this session's budget,
-        // attempts scheduled against its clock, backoff delay and the
-        // latency destination reset per issue. Re-arming every issue is
-        // what lets sessions interleave on the shared protocol state.
-        sys.proto.max_retries = self.max_retries;
-        sys.proto.now = self.sim_now;
-        sys.proto.delay = SimDuration::ZERO;
-        sys.proto.unit_dest = None;
-        // Snapshot the shared counters so exactly this unit's movement
-        // is folded into this session's stats.
-        let m0 = sys.overlay.messages_sent();
-        let p0 = sys.proto.counters;
-        let pl0 = sys.place.counters;
+        let mut unit = Unit::new(self.sim_now, self.max_retries);
         let mut state = std::mem::replace(&mut self.state, State::Done);
         let mut out: Vec<ResultEvent> = Vec::new();
-        let result = match &mut state {
+        let result = sys.run_unit(&mut unit, |sys, unit| match &mut state {
             State::Done => Ok(StepOutcome::Idle),
-            State::Pattern { query } => self.step_pattern(sys, query, &mut out),
+            State::Pattern { query } => self.step_pattern(sys, unit, query, &mut out),
             State::Prefix {
                 query,
                 probes,
                 seen,
-            } => self.step_prefix(sys, query, probes, seen, &mut out),
+            } => self.step_prefix(sys, unit, query, probes, seen, &mut out),
             State::Closure { query, sweep, seen } => {
-                self.step_closure(sys, query, sweep, seen, &mut out)
+                self.step_closure(sys, unit, query, sweep, seen, &mut out)
             }
-            State::Join(join) => self.step_join(sys, join, &mut out),
-        };
-        // Fold the unit's counter movement in on success *and* failure
-        // (a failing unit's messages were still sent and charged).
-        self.stats.messages += sys.overlay.messages_sent() - m0;
-        let c = sys.proto.counters;
-        self.stats.requests += c.requests - p0.requests;
-        self.stats.sends += c.sends - p0.sends;
-        self.stats.timeouts += c.timeouts - p0.timeouts;
-        self.stats.retransmits += c.retransmits - p0.retransmits;
-        let pl = sys.place.counters;
-        self.stats.replica_hits += pl.replica_hits - pl0.replica_hits;
-        self.stats.failovers += pl.failovers - pl0.failovers;
-        self.stats.migrations += pl.migrations - pl0.migrations;
+            State::Join(join) => self.step_join(sys, unit, join, &mut out),
+        });
         match result {
-            Ok(StepOutcome::Idle) => Ok(()), // state stays Done
+            Ok(StepOutcome::Idle) => Ok(()), // no work, nothing charged; state stays Done
             Ok(StepOutcome::Unit { ready, stamp, done }) => {
                 if !done {
                     self.state = state;
                 }
-                self.schedule_unit(sys, ready, stamp, out);
+                self.schedule_unit(sys, unit, ready, stamp, out);
                 Ok(())
             }
             Err(e) => {
-                // Events the failing unit already produced (rows that
-                // were shipped and charged) surface before the error.
+                // A failing unit's messages were still sent: its charges
+                // count. Events it already produced (rows that were
+                // shipped and charged) surface before the error.
+                self.stats += unit.stats;
                 self.error_events = out;
                 Err(e)
             }
@@ -684,48 +655,24 @@ impl SessionCore {
     fn schedule_unit(
         &mut self,
         sys: &mut GridVineSystem,
+        mut unit: Unit,
         ready: SimTime,
         stamp: Stamp,
         mut events: Vec<ResultEvent>,
     ) {
-        // The unit is in flight from here: fold the high-water mark in
-        // *before* the delta snapshot so delta sums stay exact.
-        let in_flight = self.inflight + 1;
-        self.stats.max_in_flight = self.stats.max_in_flight.max(in_flight);
-        let cur = self.stats;
-        let prev = self.issued_reported;
-        let delta = ExecStats {
-            messages: cur.messages - prev.messages,
-            subqueries: cur.subqueries - prev.subqueries,
-            reformulations: cur.reformulations - prev.reformulations,
-            schemas_visited: cur.schemas_visited - prev.schemas_visited,
-            failures: cur.failures - prev.failures,
-            bindings_shipped: cur.bindings_shipped - prev.bindings_shipped,
-            mapping_fetches: cur.mapping_fetches - prev.mapping_fetches,
-            max_in_flight: cur.max_in_flight - prev.max_in_flight,
-            cache_hits: cur.cache_hits - prev.cache_hits,
-            cache_misses: cur.cache_misses - prev.cache_misses,
-            cache_evictions: cur.cache_evictions - prev.cache_evictions,
-            requests: cur.requests - prev.requests,
-            sends: cur.sends - prev.sends,
-            timeouts: cur.timeouts - prev.timeouts,
-            retransmits: cur.retransmits - prev.retransmits,
-            duplicates_dropped: cur.duplicates_dropped - prev.duplicates_dropped,
-            assessment_probes: cur.assessment_probes - prev.assessment_probes,
-            quarantined_mappings: cur.quarantined_mappings - prev.quarantined_mappings,
-            replica_hits: cur.replica_hits - prev.replica_hits,
-            failovers: cur.failovers - prev.failovers,
-            migrations: cur.migrations - prev.migrations,
-        };
-        self.issued_reported = cur;
+        // The unit is in flight from here: it raises the high-water mark
+        // by whatever it exceeds, and carries the charges made since the
+        // previous unit.
+        unit.stats.max_in_flight = (self.inflight + 1).saturating_sub(self.stats.max_in_flight);
+        let delta = std::mem::take(&mut self.carry) + unit.stats;
+        self.stats += delta;
         events.push(ResultEvent::Stats(delta));
         let send = ready.max(self.sim_now);
         // The unit's reply lands after its overlay work plus whatever
         // backoff delay its retried requests accumulated, plus any
         // reorder jitter the fault process deals the reply itself.
         let (reply_jitter, duplicate) = sys.proto.reply_fate();
-        let completion =
-            send + sys.proto.delay + sys.unit_delay(self.origin, delta.messages) + reply_jitter;
+        let completion = send + unit.delay + sys.unit_delay(self.origin, &unit) + reply_jitter;
         self.max_completion = self.max_completion.max(completion);
         match stamp {
             Stamp::None => {}
@@ -797,12 +744,13 @@ impl SessionCore {
     fn step_pattern(
         &mut self,
         sys: &mut GridVineSystem,
+        unit: &mut Unit,
         query: &TriplePatternQuery,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
-        self.stats.subqueries += 1;
-        let bindings = sys.resolve_pattern_once(self.origin, &query.pattern)?;
-        self.stats.bindings_shipped += bindings.len();
+        unit.stats.subqueries += 1;
+        let bindings = sys.resolve_pattern_once(unit, self.origin, &query.pattern)?;
+        unit.stats.bindings_shipped += bindings.len();
         let mut seen = BTreeSet::new();
         let (batch, _) = self.admit_terms(&mut seen, &query.distinguished, &bindings);
         if !batch.is_empty() {
@@ -822,6 +770,7 @@ impl SessionCore {
     fn step_prefix(
         &mut self,
         sys: &mut GridVineSystem,
+        unit: &mut Unit,
         query: &TriplePatternQuery,
         probes: &mut std::vec::IntoIter<BitString>,
         seen: &mut BTreeSet<Term>,
@@ -831,11 +780,11 @@ impl SessionCore {
             return Ok(StepOutcome::Idle);
         };
         let dest = sys.route_retrieve(self.origin, &probe)?;
-        sys.proto_request(self.origin, dest)?;
-        self.stats.subqueries += 1;
+        sys.proto_request(unit, self.origin, dest)?;
+        unit.stats.subqueries += 1;
         let db = &sys.local_dbs[dest.index()];
         let bindings: Vec<Binding> = db.match_pattern(&query.pattern);
-        self.stats.bindings_shipped += bindings.len();
+        unit.stats.bindings_shipped += bindings.len();
         let (batch, limit_hit) = self.admit_terms(seen, &query.distinguished, &bindings);
         if !batch.is_empty() {
             out.push(ResultEvent::Rows(batch));
@@ -858,6 +807,7 @@ impl SessionCore {
     fn step_closure(
         &mut self,
         sys: &mut GridVineSystem,
+        unit: &mut Unit,
         query: &TriplePatternQuery,
         sweep: &mut ClosureSweep,
         seen: &mut BTreeSet<Term>,
@@ -866,14 +816,14 @@ impl SessionCore {
         if sweep.has_pending() {
             // Discovery unit of the previously resolved hop.
             let expansion =
-                sweep.expand_pending(sys, self.origin, self.strategy, self.ttl, &mut self.stats)?;
+                sweep.expand_pending(sys, unit, self.origin, self.strategy, self.ttl)?;
             return Ok(StepOutcome::Unit {
                 ready: self.hop_ready,
                 stamp: Stamp::Schemas(expansion.admitted),
                 done: sweep.is_exhausted(),
             });
         }
-        let Some(hop) = sweep.resolve_next(sys, self.origin)? else {
+        let Some(hop) = sweep.resolve_next(sys, unit, self.origin)? else {
             return Ok(StepOutcome::Idle);
         };
         let ready = self
@@ -882,7 +832,7 @@ impl SessionCore {
             .copied()
             .unwrap_or(self.started_at);
         self.hop_ready = ready;
-        hop.charge(&mut self.stats);
+        hop.charge(&mut unit.stats);
         out.push(ResultEvent::SchemaHop {
             schema: hop.schema,
             depth: hop.depth,
@@ -890,7 +840,7 @@ impl SessionCore {
         });
         let mut limit_hit = false;
         if let Some(bindings) = hop.bindings {
-            self.stats.bindings_shipped += bindings.len();
+            unit.stats.bindings_shipped += bindings.len();
             let (batch, hit) = self.admit_terms(seen, &query.distinguished, &bindings);
             limit_hit = hit;
             if !batch.is_empty() {
@@ -944,12 +894,13 @@ impl SessionCore {
     fn step_join(
         &mut self,
         sys: &mut GridVineSystem,
+        unit: &mut Unit,
         join: &mut JoinState,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
         match &mut join.phase {
-            JoinPhase::Independent { .. } => self.step_join_independent(sys, join, out),
-            JoinPhase::Bound { .. } => self.step_join_bound(sys, join, out),
+            JoinPhase::Independent { .. } => self.step_join_independent(sys, unit, join, out),
+            JoinPhase::Bound { .. } => self.step_join_bound(sys, unit, join, out),
         }
     }
 
@@ -962,6 +913,7 @@ impl SessionCore {
     fn step_join_independent(
         &mut self,
         sys: &mut GridVineSystem,
+        unit: &mut Unit,
         join: &mut JoinState,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
@@ -978,14 +930,9 @@ impl SessionCore {
         };
         if *next_pattern < query.patterns.len() {
             let pattern = &query.patterns[*next_pattern];
-            let net = sys.sweep_pattern_network(self.origin, pattern, self.strategy, self.ttl)?;
-            net.charge(&mut self.stats);
-            sets.push(
-                net.bindings
-                    .iter()
-                    .map(|b| interner.encode(b, vars))
-                    .collect(),
-            );
+            let bindings =
+                sys.sweep_pattern_network(unit, self.origin, pattern, self.strategy, self.ttl)?;
+            sets.push(bindings.iter().map(|b| interner.encode(b, vars)).collect());
             *next_pattern += 1;
             return Ok(StepOutcome::Unit {
                 ready: self.started_at,
@@ -1023,6 +970,7 @@ impl SessionCore {
     fn step_join_bound(
         &mut self,
         sys: &mut GridVineSystem,
+        unit: &mut Unit,
         join: &mut JoinState,
         out: &mut Vec<ResultEvent>,
     ) -> Result<StepOutcome, SystemError> {
@@ -1089,14 +1037,12 @@ impl SessionCore {
                 );
             }
             let sub = pattern.substitute(&seed);
-            match sys.sweep_pattern_network(self.origin, &sub, self.strategy, self.ttl) {
-                Ok(net) => {
-                    net.charge(&mut self.stats);
+            match sys.sweep_pattern_network(unit, self.origin, &sub, self.strategy, self.ttl) {
+                Ok(bindings) => {
                     // The substituted instance's matches bind only the
                     // pattern's remaining variables: merge each into
                     // every member row.
-                    let fragments: Vec<Vec<u64>> = net
-                        .bindings
+                    let fragments: Vec<Vec<u64>> = bindings
                         .iter()
                         .map(|b| join.interner.encode(b, &join.vars))
                         .collect();
@@ -1126,7 +1072,7 @@ impl SessionCore {
                     }
                 }
                 Err(SystemError::NotRoutable) => {
-                    self.stats.failures += 1;
+                    unit.stats.failures += 1;
                 }
                 Err(e) => return Err(e),
             }

@@ -9,8 +9,9 @@
 //!
 //! Every operation is executed as hop-by-hop routing over peer-local
 //! views, so the message counts are those of the distributed protocol;
-//! the event-driven twin in [`crate::harness`] additionally charges
-//! wall-clock latency.
+//! query sessions additionally run on a simulated clock (see [`sched`]).
+//! The WAN harness in [`crate::harness`] is a separate stack with its
+//! own per-hop latency sampling over `gridvine_netsim::Network`.
 
 use crate::item::{KeySpace, MediationItem};
 use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
@@ -129,43 +130,19 @@ impl Default for GridVineConfig {
     }
 }
 
-/// Running counters of the request/retry protocol (see the [`sched`]
-/// module docs): accumulated system-wide, diffed per session into
-/// [`exec::ExecStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ProtoCounters {
-    pub(crate) requests: usize,
-    pub(crate) sends: usize,
-    pub(crate) timeouts: usize,
-    pub(crate) retransmits: usize,
-}
-
-/// State of the subquery request/response protocol: the fault rates,
-/// the active session's retry budget and clock, and the deterministic
-/// RNG stream driving loss/duplication/reorder draws — independent
-/// from the routing RNG, so enabling faults never perturbs route
-/// selection (and a null config draws nothing at all).
+/// The system-wide part of the subquery request/response protocol:
+/// the fault rates, the request-id allocator and the deterministic RNG
+/// stream driving loss/duplication/reorder draws — independent from the
+/// routing RNG, so enabling faults never perturbs route selection (and
+/// a null config draws nothing at all). Everything per unit — clock,
+/// retry budget, backoff delay, destination, counters — lives on the
+/// unit's own [`sched::Unit`] ledger.
 pub(crate) struct ProtocolState {
     /// Fault process for subquery/reply exchanges
     /// ([`GridVineConfig::fault`]).
     pub(crate) fault: FaultConfig,
-    /// Retransmit budget of the active session's requests (set from
-    /// [`exec::QueryOptions::max_retries`] at open).
-    pub(crate) max_retries: usize,
-    /// The session clock at the unit currently being issued — the
-    /// attempt-time base for churn-liveness checks.
-    pub(crate) now: SimTime,
-    /// Timeout/backoff delay accumulated by the unit being issued
-    /// (reset per issue, folded into the unit's completion instant).
-    pub(crate) delay: SimDuration,
-    /// Destination of the unit currently being issued: the peer the
-    /// last routed request of this unit went to (reset per issue).
-    /// Non-flat latency models sample the origin→destination link for
-    /// each of the unit's messages.
-    pub(crate) unit_dest: Option<PeerId>,
     /// Next request id.
     next_request: u64,
-    pub(crate) counters: ProtoCounters,
     rng: StdRng,
 }
 
@@ -174,12 +151,7 @@ impl ProtocolState {
         config.fault.validate();
         ProtocolState {
             fault: config.fault.clone(),
-            max_retries: exec::DEFAULT_MAX_RETRIES,
-            now: SimTime::ZERO,
-            delay: SimDuration::ZERO,
-            unit_dest: None,
             next_request: 0,
-            counters: ProtoCounters::default(),
             rng: gridvine_netsim::rng::derive(config.seed, 0xB0FF),
         }
     }
@@ -345,8 +317,8 @@ pub struct GridVineSystem {
     /// whose destination is down are charged but never answered
     /// ([`SystemError::PeerDown`]).
     crashed: BTreeSet<PeerId>,
-    /// Request/retry protocol state (fault rates, retry budget,
-    /// counters, its own RNG stream) — see [`sched`].
+    /// Request/retry protocol state (fault rates, request ids, its own
+    /// RNG stream) — see [`sched`].
     pub(crate) proto: ProtocolState,
     /// Per-peer churn timelines installed by
     /// [`GridVineSystem::install_churn`]: sorted `(instant, down)`
@@ -367,10 +339,13 @@ pub struct GridVineSystem {
     /// uses the classic per-message formula and draws nothing.
     latency: Option<Box<dyn LatencyModel>>,
     /// Replica-placement runtime state ([`GridVineConfig::placement`]):
-    /// the replica registry (extra holders beyond σ(key)), the windowed
-    /// heat counters and the placement counters diffed per issued unit
-    /// — see [`place`].
+    /// the replica registry (extra holders beyond σ(key)) and the
+    /// windowed heat counters — see [`place`].
     pub(crate) place: place::PlacementState,
+    /// Lifetime totals of everything charged inside units
+    /// ([`GridVineSystem::run_unit`]);
+    /// [`GridVineSystem::replica_counters`] reads its replica counters.
+    totals: exec::ExecStats,
     /// Monotone session-id allocator shared by standalone sessions and
     /// pools (ids stay unique when both run against one system).
     next_session: u64,
@@ -383,36 +358,19 @@ impl GridVineSystem {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let topology = Topology::balanced(config.peers, config.refs_per_level, &mut rng);
         debug_assert!(topology.validate().is_ok());
-        let overlay = Overlay::new(&topology);
-        GridVineSystem {
-            hasher: config.hash.build(),
-            local_dbs: (0..topology.len()).map(|_| TripleStore::new()).collect(),
-            lexicon: SharedTermDict::new(),
-            exec: (0..topology.len())
-                .map(|_| sched::PeerExecState::new(config.closure_cache_capacity))
-                .collect(),
-            crashed: BTreeSet::new(),
-            proto: ProtocolState::new(&config),
-            churn: vec![Vec::new(); topology.len()],
-            adversary: SemanticAdversary::new(config.semantic_fault.clone(), config.seed),
-            commit_crash: None,
-            latency: config
-                .latency
-                .build(gridvine_netsim::rng::derive_seed(config.seed, 0x1A7E)),
-            place: place::PlacementState::new(config.placement.clone()),
-            next_session: 0,
-            topology,
-            overlay,
-            registry: MappingRegistry::new(),
-            rng,
-            config,
-        }
+        // The routing stream continues where the topology build left it.
+        GridVineSystem::assemble(config, topology, rng)
     }
 
     /// Build over an explicit topology (e.g. one produced by the
     /// decentralized construction).
     pub fn with_topology(config: GridVineConfig, topology: Topology) -> GridVineSystem {
         let rng = StdRng::seed_from_u64(config.seed);
+        GridVineSystem::assemble(config, topology, rng)
+    }
+
+    /// The one constructor body: `rng` becomes the routing stream.
+    fn assemble(config: GridVineConfig, topology: Topology, rng: StdRng) -> GridVineSystem {
         let overlay = Overlay::new(&topology);
         GridVineSystem {
             hasher: config.hash.build(),
@@ -430,6 +388,7 @@ impl GridVineSystem {
                 .latency
                 .build(gridvine_netsim::rng::derive_seed(config.seed, 0x1A7E)),
             place: place::PlacementState::new(config.placement.clone()),
+            totals: exec::ExecStats::default(),
             next_session: 0,
             topology,
             overlay,
@@ -571,30 +530,49 @@ impl GridVineSystem {
     /// Exhausting the retry budget surfaces as
     /// [`SystemError::PeerDown`] — the same recorded failure the
     /// closure walks already survive.
-    pub(crate) fn proto_request(&mut self, from: PeerId, dest: PeerId) -> Result<(), SystemError> {
-        self.proto.counters.requests += 1;
-        self.proto.counters.sends += 1;
-        self.proto.unit_dest = Some(dest);
+    pub(crate) fn proto_request(
+        &mut self,
+        unit: &mut sched::Unit,
+        from: PeerId,
+        dest: PeerId,
+    ) -> Result<(), SystemError> {
+        unit.stats.requests += 1;
+        unit.stats.sends += 1;
+        unit.dest = Some(dest);
         if self.crashed.contains(&dest) {
             return Err(SystemError::PeerDown(dest));
         }
         let loss = self.proto.loss_rate(from, dest);
-        for attempt in 0..=self.proto.max_retries {
+        for attempt in 0..=unit.max_retries {
             if attempt > 0 {
-                self.proto.counters.sends += 1;
-                self.proto.counters.retransmits += 1;
+                unit.stats.sends += 1;
+                unit.stats.retransmits += 1;
             }
-            let at = self.proto.now + self.proto.delay;
-            let up = !self.churn_down_at(dest, at);
+            let up = !self.churn_down_at(dest, unit.now + unit.delay);
             let lost = loss > 0.0 && self.proto.rng.gen::<f64>() < loss;
             if up && !lost {
                 return Ok(());
             }
-            self.proto.counters.timeouts += 1;
-            let backoff = self.proto.backoff(attempt);
-            self.proto.delay += backoff;
+            unit.stats.timeouts += 1;
+            unit.delay += self.proto.backoff(attempt);
         }
         Err(SystemError::PeerDown(dest))
+    }
+
+    /// Run `work` as one unit on `unit`'s ledger: the overlay messages
+    /// it sends are charged to the ledger — this is the one place the
+    /// shared overlay counter is read for cost accounting — and the
+    /// ledger's charges fold into the system's lifetime totals.
+    pub(crate) fn run_unit<T>(
+        &mut self,
+        unit: &mut sched::Unit,
+        work: impl FnOnce(&mut GridVineSystem, &mut sched::Unit) -> T,
+    ) -> T {
+        let sent = self.overlay.messages_sent();
+        let out = work(self, unit);
+        unit.stats.messages += self.overlay.messages_sent() - sent;
+        self.totals += unit.stats;
+        out
     }
 
     /// Allocate the next session id (see [`pool::SessionId`]): unique
@@ -606,21 +584,21 @@ impl GridVineSystem {
         id
     }
 
-    /// Simulated latency of one issued unit that charged `messages`
-    /// overlay messages from `origin`.
+    /// Simulated latency of one closed unit issued from `origin`, from
+    /// the overlay messages its ledger charged.
     ///
     /// Flat (default) config: the classic deterministic
     /// `PROCESSING + messages × PER_MESSAGE` formula. With a model from
     /// [`GridVineConfig::latency`]: `PROCESSING` plus one sampled
     /// origin→destination delay per message, where the destination is
-    /// the peer the unit's last routed request went to
-    /// (`ProtocolState::unit_dest`; local-only units fall back to the
-    /// origin itself).
-    pub(crate) fn unit_delay(&mut self, origin: PeerId, messages: u64) -> SimDuration {
+    /// the peer the unit's last routed request went to (`Unit::dest`;
+    /// local-only units fall back to the origin itself).
+    pub(crate) fn unit_delay(&mut self, origin: PeerId, unit: &sched::Unit) -> SimDuration {
+        let messages = unit.stats.messages;
         let Some(model) = self.latency.as_deref_mut() else {
             return sched::unit_latency(messages);
         };
-        let dest = self.proto.unit_dest.unwrap_or(origin);
+        let dest = unit.dest.unwrap_or(origin);
         let from = NodeId::from_index(origin.index());
         let to = NodeId::from_index(dest.index());
         let mut total = sched::PROCESSING;
@@ -989,8 +967,6 @@ impl GridVineSystem {
         origin: PeerId,
         cfg: &BayesConfig,
     ) -> Result<AssessmentReport, SystemError> {
-        let start_messages = self.overlay.messages_sent();
-        let start_proto = self.proto.counters;
         let started_at = self.exec_state(origin).clock;
         let mut clock = started_at;
         let mut stats = exec::ExecStats::default();
@@ -1022,21 +998,22 @@ impl GridVineSystem {
             let cycles = gridvine_semantic::bayes::find_cycles(&self.registry, cfg.max_cycle_len);
             for cycle in &cycles {
                 let key = self.key_of(cycle.base.as_str());
-                let msgs_before = self.overlay.messages_sent();
-                self.proto.now = clock;
-                self.proto.delay = SimDuration::ZERO;
-                self.proto.unit_dest = None;
-                stats.assessment_probes += 1;
-                let probed = self
-                    .route_retrieve(origin, &key)
-                    .and_then(|dest| self.proto_request(origin, dest));
-                match probed {
-                    Ok(()) => {}
-                    Err(SystemError::PeerDown(_)) => stats.failures += 1,
-                    Err(e) => return Err(e),
-                }
-                let delta = self.overlay.messages_sent() - msgs_before;
-                clock = clock + self.proto.delay + self.unit_delay(origin, delta);
+                let mut unit = sched::Unit::new(clock, exec::DEFAULT_MAX_RETRIES);
+                self.run_unit(&mut unit, |sys, unit| {
+                    unit.stats.assessment_probes += 1;
+                    let probed = sys
+                        .route_retrieve(origin, &key)
+                        .and_then(|dest| sys.proto_request(unit, origin, dest));
+                    match probed {
+                        Err(SystemError::PeerDown(_)) => {
+                            unit.stats.failures += 1;
+                            Ok(())
+                        }
+                        other => other,
+                    }
+                })?;
+                clock = clock + unit.delay + self.unit_delay(origin, &unit);
+                stats += unit.stats;
             }
             cycles_probed += cycles.len();
 
@@ -1064,21 +1041,12 @@ impl GridVineSystem {
                 .map(|new| new != old)
                 .unwrap_or(false);
             if changed {
-                let msgs_before = self.overlay.messages_sent();
-                self.proto.unit_dest = None;
-                self.refresh_mapping(origin, old.id, old)?;
-                let delta = self.overlay.messages_sent() - msgs_before;
-                let d = self.unit_delay(origin, delta);
-                clock += d;
+                let mut unit = sched::Unit::new(clock, exec::DEFAULT_MAX_RETRIES);
+                self.run_unit(&mut unit, |sys, _| sys.refresh_mapping(origin, old.id, old))?;
+                clock += self.unit_delay(origin, &unit);
+                stats += unit.stats;
             }
         }
-
-        stats.messages = self.overlay.messages_sent() - start_messages;
-        let c = self.proto.counters;
-        stats.requests = c.requests - start_proto.requests;
-        stats.sends = c.sends - start_proto.sends;
-        stats.timeouts = c.timeouts - start_proto.timeouts;
-        stats.retransmits = c.retransmits - start_proto.retransmits;
         self.exec_state_mut(origin).clock = clock;
         Ok(AssessmentReport {
             cycles_probed,
@@ -1218,9 +1186,10 @@ impl GridVineSystem {
     }
 
     /// Fetch the mappings stored at a schema's key space via the
-    /// overlay: `Retrieve(Hash(schema))`.
-    pub fn mappings_at_schema(
+    /// overlay, `Retrieve(Hash(schema))`, as part of `unit`.
+    pub(crate) fn mappings_at_schema(
         &mut self,
+        unit: &mut sched::Unit,
         origin: PeerId,
         schema: &SchemaId,
     ) -> Result<Vec<Mapping>, SystemError> {
@@ -1228,7 +1197,7 @@ impl GridVineSystem {
         let (items, route) = self.overlay.retrieve(origin, &key, &mut self.rng)?;
         // The retrieve was routed and charged; the retry protocol
         // decides whether the mapping list ever comes back.
-        self.proto_request(origin, route.destination)?;
+        self.proto_request(unit, origin, route.destination)?;
         Ok(items
             .into_iter()
             .filter_map(|i| match i {
@@ -1284,6 +1253,14 @@ mod tests {
     use super::*;
     use crate::plan::QueryPlan;
     use gridvine_rdf::{PatternTerm, TriplePattern};
+
+    /// The mapping list a routed `Retrieve(Hash(schema))` from peer 1
+    /// brings back.
+    fn mappings_at(sys: &mut GridVineSystem, schema: &str) -> Vec<Mapping> {
+        let mut unit = sched::Unit::new(SimTime::ZERO, exec::DEFAULT_MAX_RETRIES);
+        sys.mappings_at_schema(&mut unit, PeerId(1), &SchemaId::new(schema))
+            .unwrap()
+    }
 
     /// The reformulated `SearchFor` as most tests drive it: a closure
     /// plan drained through `execute`.
@@ -1388,9 +1365,7 @@ mod tests {
         assert_eq!(out.rows.len(), 2, "EMP record must be unreachable");
         assert_eq!(out.stats.reformulations, 0);
         // The DHT copies must reflect the deprecation too.
-        let maps = sys
-            .mappings_at_schema(PeerId(1), &SchemaId::new("EMBL"))
-            .unwrap();
+        let maps = mappings_at(&mut sys, "EMBL");
         assert!(maps.iter().all(|m| !m.is_active()));
     }
 
@@ -1653,9 +1628,7 @@ mod tests {
         let rec = sys.recover_mapping_commits(p0).unwrap();
         assert_eq!(rec.repaired_copies, 0, "nothing half-live to repair");
         for schema in ["EMBL", "EMP"] {
-            let maps = sys
-                .mappings_at_schema(PeerId(1), &SchemaId::new(schema))
-                .unwrap();
+            let maps = mappings_at(&mut sys, schema);
             assert!(maps.is_empty(), "{schema}: {maps:?}");
         }
         // And no query ever observes a one-way mapping: the EMP record
@@ -1699,10 +1672,7 @@ mod tests {
                 &mut sys.rng,
             )
             .unwrap();
-        assert!(sys
-            .mappings_at_schema(PeerId(1), &SchemaId::new("EMP"))
-            .unwrap()
-            .is_empty());
+        assert!(mappings_at(&mut sys, "EMP").is_empty());
         let rec = sys.recover_mapping_commits(PeerId(0)).unwrap();
         assert_eq!(
             rec,
@@ -1711,12 +1681,7 @@ mod tests {
                 orphans_removed: 0
             }
         );
-        assert_eq!(
-            sys.mappings_at_schema(PeerId(1), &SchemaId::new("EMP"))
-                .unwrap()
-                .len(),
-            1
-        );
+        assert_eq!(mappings_at(&mut sys, "EMP").len(), 1);
         // Idempotent: a second scan finds nothing.
         assert_eq!(
             sys.recover_mapping_commits(PeerId(0)).unwrap(),
@@ -1795,9 +1760,7 @@ mod tests {
             MappingStatus::Quarantined
         );
         // The DHT copies reflect the quarantine.
-        let maps = sys
-            .mappings_at_schema(PeerId(1), &SchemaId::new("C"))
-            .unwrap();
+        let maps = mappings_at(&mut sys, "C");
         assert!(maps.iter().all(|m| !m.is_active()));
         // A second pass paroles and re-confirms: same quarantine set,
         // nothing reactivated, statuses unchanged.
@@ -1860,9 +1823,7 @@ mod tests {
         assert_eq!(sys.semantic_fault_counters().stale, 1);
         // The injected copy is visible through the DHT, so query
         // reformulation would use it like any honest mapping.
-        let maps = sys
-            .mappings_at_schema(PeerId(1), &SchemaId::new("EMBL"))
-            .unwrap();
+        let maps = mappings_at(&mut sys, "EMBL");
         assert!(
             maps.iter().any(|m| m.id == injected[0].id && m.is_active()),
             "{maps:?}"

@@ -6,10 +6,12 @@
 //!
 //! All queries run through the plan surface (`QueryPlan` + `execute`).
 
-use gridvine_core::{GridVineConfig, GridVineSystem, QueryOptions, QueryPlan, Strategy};
+use gridvine_core::{
+    GridVineConfig, GridVineSystem, MediationItem, QueryOptions, QueryPlan, Strategy,
+};
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{Term, Triple, TriplePatternQuery};
-use gridvine_semantic::{Correspondence, MappingKind, Provenance, Schema};
+use gridvine_semantic::{Correspondence, Mapping, MappingKind, Provenance, Schema};
 
 fn sys_with(peers: usize) -> GridVineSystem {
     GridVineSystem::new(GridVineConfig {
@@ -30,6 +32,22 @@ fn mean_messages(
         op(sys, i);
     }
     (sys.messages_sent() - before) as f64 / n as f64
+}
+
+/// The mapping copies stored at a schema's key space, read from the
+/// bucket of the key's first responsible peer.
+fn mappings_stored_at(sys: &GridVineSystem, schema: &str) -> Vec<Mapping> {
+    let key = sys.key_of(schema);
+    let owner = sys.topology().responsible(&key)[0];
+    sys.overlay()
+        .store(owner)
+        .get(&key)
+        .iter()
+        .filter_map(|item| match item {
+            MediationItem::Mapping { mapping, .. } => Some(mapping.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -121,9 +139,7 @@ fn bidirectional_mapping_is_stored_at_both_key_spaces() {
     // spaces corresponding to both schemas if the mapping is
     // bidirectional").
     for schema in ["EMBL", "EMP"] {
-        let maps = sys
-            .mappings_at_schema(PeerId(7), &gridvine_semantic::SchemaId::new(schema))
-            .unwrap();
+        let maps = mappings_stored_at(&sys, schema);
         assert_eq!(maps.len(), 1, "{schema} key space must hold the mapping");
     }
 }
@@ -145,13 +161,9 @@ fn subsumption_mapping_is_stored_at_source_only() {
         vec![Correspondence::new("Organism", "ScientificName")],
     )
     .unwrap();
-    let at_source = sys
-        .mappings_at_schema(PeerId(3), &gridvine_semantic::SchemaId::new("EMBL"))
-        .unwrap();
+    let at_source = mappings_stored_at(&sys, "EMBL");
     assert_eq!(at_source.len(), 1);
-    let at_target = sys
-        .mappings_at_schema(PeerId(3), &gridvine_semantic::SchemaId::new("TAXA"))
-        .unwrap();
+    let at_target = mappings_stored_at(&sys, "TAXA");
     assert!(
         at_target.is_empty(),
         "one-way mapping must live only at the source key space"

@@ -8,7 +8,8 @@
 //! sessions in the open-loop driver.
 
 use gridvine_core::{
-    GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan, SpikeAction, Strategy,
+    ExecStats, GridVineConfig, GridVineSystem, PlacementPolicy, QueryOptions, QueryPlan,
+    ResultEvent, SpikeAction, Strategy,
 };
 use gridvine_load::{run_open_loop, ArrivalProcess, LoadConfig};
 use gridvine_netsim::churn::{ChurnEvent, ChurnProcess};
@@ -310,4 +311,119 @@ fn churn_storm_over_replicated_predicate_sheds_no_sessions() {
         sys.replica_counters()
     );
     assert_eq!(sys.pending_events(), 0);
+}
+
+/// Insert-time placement checks holder liveness at the *inserting*
+/// origin's clock. A session another origin ran earlier advances only
+/// that origin's clock, so it must not change which holders an insert
+/// provisions — even when churn takes a candidate down later on.
+#[test]
+fn insert_placement_ignores_other_origins_sessions() {
+    let seed = 11;
+    let policy = PlacementPolicy::new().replicate("S0#", 4);
+    let inserter = PeerId(3);
+    let fresh = Triple::new("seq:N1", "S0#b0", Term::literal("fresh"));
+
+    // On a quiet system the insert provisions extras for the new key.
+    let mut quiet = replicated_system(policy.clone(), seed);
+    quiet.insert_triple(inserter, fresh.clone()).unwrap();
+    let expected = quiet.replica_holders("S0#b0");
+    let owners = quiet.topology().responsible(&quiet.key_of("S0#b0")).len();
+    assert!(expected.len() > owners, "the insert provisioned extras");
+    let victim = *expected.last().unwrap();
+
+    // Same system, but the last extra fails a microsecond into the run
+    // and another origin queries twice first, so its clock — and its
+    // sessions' units — sit past the failure.
+    let mut sys = replicated_system(policy, seed);
+    sys.install_churn(&[ChurnEvent {
+        at: SimTime::ZERO + SimDuration::from_micros(1),
+        node: gridvine_netsim::NodeId::from_index(victim.index()),
+        kind: gridvine_netsim::churn::ChurnKind::Fail,
+    }]);
+    let other = outside_origin(&expected);
+    assert_ne!(other, inserter);
+    for _ in 0..2 {
+        sys.execute(other, &QueryPlan::search(data_query()), &options(1))
+            .unwrap();
+    }
+    // The inserter's own clock still reads zero, where the victim is up.
+    sys.insert_triple(inserter, fresh).unwrap();
+    assert_eq!(sys.replica_holders("S0#b0"), expected);
+}
+
+/// The per-unit `Stats` deltas of a drained session sum to its outcome's
+/// stats — all counters, the replica ones included — with placement,
+/// heat spikes, request loss, reply reordering, a crashed holder and a
+/// churned one all in play.
+#[test]
+fn unit_deltas_sum_to_outcome_under_placement_and_faults() {
+    let policy = PlacementPolicy::new()
+        .replicate("S0#", 3)
+        .heat(2, SimDuration::from_secs(5));
+    let mut sys = GridVineSystem::new(GridVineConfig {
+        peers: PEERS,
+        hash: gridvine_pgrid::HashKind::Uniform,
+        fault: gridvine_netsim::FaultConfig {
+            loss: 0.3,
+            reorder: 0.5,
+            ..gridvine_netsim::FaultConfig::none()
+        },
+        placement: policy,
+        seed: 21,
+        ..GridVineConfig::default()
+    });
+    sys.insert_schema(PeerId(0), Schema::new("S0", ["a0"]))
+        .unwrap();
+    for i in 0..3 {
+        sys.insert_triple(
+            PeerId(0),
+            Triple::new(
+                format!("seq:R{i}").as_str(),
+                "S0#a0",
+                Term::literal("Aspergillus niger"),
+            ),
+        )
+        .unwrap();
+    }
+    let mut holders = sys.replica_holders("S0#a0");
+    holders.sort();
+    let origin = outside_origin(&holders);
+    // Flat latency ranks holders by index: the first one is crashed and
+    // the second is churned down for the first few milliseconds, so the
+    // first query fails over into a timeout before it is served.
+    sys.crash_peer(holders[0]);
+    let node = gridvine_netsim::NodeId::from_index(holders[1].index());
+    sys.install_churn(&[
+        ChurnEvent {
+            at: SimTime::ZERO,
+            node,
+            kind: gridvine_netsim::churn::ChurnKind::Fail,
+        },
+        ChurnEvent {
+            at: SimTime::ZERO + SimDuration::from_millis(3),
+            node,
+            kind: gridvine_netsim::churn::ChurnKind::Recover,
+        },
+    ]);
+
+    let plan = QueryPlan::search(data_query());
+    let mut total = ExecStats::default();
+    for window in [1usize, 3, 2] {
+        let mut session = sys.open(origin, &plan, &options(window)).unwrap();
+        let mut summed = ExecStats::default();
+        while let Some(event) = session.next_event().unwrap() {
+            if let ResultEvent::Stats(delta) = event {
+                summed += delta;
+            }
+        }
+        let out = session.into_outcome();
+        assert_eq!(out.rows.len(), 3);
+        assert_eq!(summed, out.stats);
+        total += out.stats;
+    }
+    assert!(total.replica_hits > 0, "{total:?}");
+    assert!(total.failovers > 0, "{total:?}");
+    assert!(total.migrations > 0, "{total:?}");
+    assert!(total.timeouts > 0, "{total:?}");
 }

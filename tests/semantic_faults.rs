@@ -9,15 +9,15 @@
 use std::collections::BTreeSet;
 
 use gridvine_core::{
-    GridVineConfig, GridVineSystem, QueryOptions, QueryOutcome, QueryPlan, ResultEvent,
-    SelfOrgConfig, Strategy, SystemError,
+    GridVineConfig, GridVineSystem, MediationItem, QueryOptions, QueryOutcome, QueryPlan,
+    ResultEvent, SelfOrgConfig, Strategy, SystemError,
 };
 use gridvine_netsim::churn::{ChurnEvent, ChurnProcess};
 use gridvine_netsim::{SimDuration, SimTime};
 use gridvine_pgrid::PeerId;
 use gridvine_rdf::{PatternTerm, Term, Triple, TriplePattern, TriplePatternQuery};
 use gridvine_semantic::{
-    BayesConfig, Correspondence, MappingId, MappingKind, Provenance, Schema, SchemaId,
+    BayesConfig, Correspondence, Mapping, MappingId, MappingKind, Provenance, Schema, SchemaId,
     SemanticFaultConfig,
 };
 use proptest::prelude::*;
@@ -110,6 +110,22 @@ fn ring_system(semantic: SemanticFaultConfig, seed: u64) -> GridVineSystem {
         }
     }
     sys
+}
+
+/// The mapping copies stored at a schema's key space, read from the
+/// bucket of the key's first responsible peer.
+fn mappings_stored_at(sys: &GridVineSystem, schema: &str) -> Vec<Mapping> {
+    let key = sys.key_of(schema);
+    let owner = sys.topology().responsible(&key)[0];
+    sys.overlay()
+        .store(owner)
+        .get(&key)
+        .iter()
+        .filter_map(|item| match item {
+            MediationItem::Mapping { mapping, .. } => Some(mapping.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 fn ring_query() -> TriplePatternQuery {
@@ -207,9 +223,7 @@ fn crash_mid_commit_is_atomic_end_to_end() {
     sys.recover_peer(victim);
     let recovery = sys.recover_mapping_commits(p0).unwrap();
     assert_eq!(recovery.repaired_copies, 0, "no half-live copy to repair");
-    let at_s3 = sys
-        .mappings_at_schema(PeerId(1), &SchemaId::new("S3"))
-        .unwrap();
+    let at_s3 = mappings_stored_at(&sys, "S3");
     assert!(at_s3.is_empty(), "{at_s3:?}");
     let out = run(&mut sys, 4);
     assert_eq!(out.rows.len(), 3, "the committed prefix still answers");
