@@ -74,7 +74,9 @@
 //! model's deterministic [`expected`](gridvine_netsim::LatencyModel::expected)
 //! and expected-latency scores are computed for **every** candidate
 //! before liveness is probed, so the model's placement stream advances
-//! identically in faulty and fault-free runs.
+//! identically in faulty and fault-free runs. Provisioning from a live
+//! non-holder origin skips the candidate scan but places the same
+//! model nodes (see `best_new_holder`).
 
 use super::sched::Unit;
 use super::{GridVineSystem, SystemError};
@@ -440,13 +442,7 @@ impl GridVineSystem {
             .first()
             .copied()
             .expect("every key has a responsible peer");
-        let items: Vec<Triple> = {
-            let ks = self.keyspace();
-            self.local_dbs[src.index()]
-                .iter()
-                .filter(|t| ks.triple_keys(t).contains(key))
-                .collect()
-        };
+        let items = self.rows_under_key(src, key);
         let mut copied: Vec<Triple> = Vec::new();
         for t in items {
             if !copied.is_empty() {
@@ -480,19 +476,21 @@ impl GridVineSystem {
         to: PeerId,
     ) -> Result<(), SystemError> {
         self.commit_replica(origin, key, to)?;
-        let items: Vec<Triple> = {
-            let ks = self.keyspace();
-            self.local_dbs[from.index()]
-                .iter()
-                .filter(|t| ks.triple_keys(t).contains(key))
-                .collect()
-        };
-        for t in &items {
+        for t in &self.rows_under_key(from, key) {
             self.local_dbs[from.index()].remove(t);
         }
         self.overlay.charge_direct(origin, from, 1);
         self.place.retire_extra(key, from);
         Ok(())
+    }
+
+    /// The triples of `peer`'s `DB_p` indexed under `key` (one of their
+    /// three keys is `key`), in the database's row order, so a copy
+    /// keeps the source's scan order. Hashes each distinct term once
+    /// instead of three keys per row.
+    fn rows_under_key(&self, peer: PeerId, key: &BitString) -> Vec<Triple> {
+        let ks = self.keyspace();
+        self.local_dbs[peer.index()].rows_where_any_term(|lexical| ks.key_of(lexical) == *key)
     }
 
     /// Handle one heat spike inline in the serving unit (its copies
@@ -578,15 +576,43 @@ impl GridVineSystem {
     }
 
     /// The cheapest non-holder live at `at` from `origin`, ties broken
-    /// by peer index. Expected latency is computed for **every**
-    /// non-holder before liveness filtering so the model stream stays
-    /// independent of the crash/churn state.
+    /// by peer index.
+    ///
+    /// Fast path: the origin is at zero expected latency from itself
+    /// and every other peer is strictly above zero (a model's zero
+    /// falls back to the flat cost), so an origin that is a live
+    /// non-holder is the unique minimum and is returned without
+    /// scanning the other peers. Otherwise every peer is scanned.
+    ///
+    /// Model-placement contract: the scan asks the latency model for
+    /// the expected latency to **every** non-holder other than the
+    /// origin, before liveness filtering, so the model's stream does
+    /// not depend on the crash/churn state. A placing model
+    /// ([`RegionalWan`](gridvine_netsim::RegionalWan)) draws each
+    /// node's slowdown once, in index order, on first sight; after the
+    /// scan every node up to the highest non-holder has been placed.
+    /// The fast path asks for that highest non-holder alone, which
+    /// places exactly the same nodes at the same point of the stream.
     fn best_new_holder(
         &mut self,
         origin: PeerId,
         holders: &[PeerId],
         at: SimTime,
     ) -> Option<(SimDuration, PeerId)> {
+        let origin_free = !holders.contains(&origin)
+            && !self.crashed.contains(&origin)
+            && !self.churn_down_at(origin, at);
+        if origin_free {
+            // Holders are a handful, so this walks down a few indexes.
+            let last = (0..self.config.peers)
+                .rev()
+                .map(PeerId::from_index)
+                .find(|p| *p != origin && !holders.contains(p));
+            if let Some(last) = last {
+                self.expected_latency(origin, last);
+            }
+            return Some((SimDuration::ZERO, origin));
+        }
         let mut best: Option<(SimDuration, u32)> = None;
         for i in 0..self.config.peers {
             let p = PeerId::from_index(i);
@@ -673,9 +699,207 @@ impl GridVineSystem {
     }
 }
 
+/// The full peer scan `best_new_holder` short-cuts and the
+/// whole-database filter `rows_under_key` replaced, kept to test the
+/// new code against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl GridVineSystem {
+        pub(super) fn best_new_holder_scan(
+            &mut self,
+            origin: PeerId,
+            holders: &[PeerId],
+            at: SimTime,
+        ) -> Option<(SimDuration, PeerId)> {
+            let mut best: Option<(SimDuration, u32)> = None;
+            for i in 0..self.config.peers {
+                let p = PeerId::from_index(i);
+                if holders.contains(&p) {
+                    continue;
+                }
+                let d = self.expected_latency(origin, p);
+                if self.crashed.contains(&p) || self.churn_down_at(p, at) {
+                    continue;
+                }
+                if best.is_none_or(|b| (d, p.0) < b) {
+                    best = Some((d, p.0));
+                }
+            }
+            best.map(|(d, p)| (d, PeerId(p)))
+        }
+
+        pub(super) fn rows_under_key_scan(&self, peer: PeerId, key: &BitString) -> Vec<Triple> {
+            let ks = self.keyspace();
+            self.local_dbs[peer.index()]
+                .iter()
+                .filter(|t| ks.triple_keys(t).contains(key))
+                .collect()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GridVineConfig;
+    use gridvine_netsim::churn::{ChurnEvent, ChurnKind};
+    use gridvine_netsim::LatencyConfig;
+    use gridvine_rdf::Term;
+
+    const PEERS: usize = 40;
+
+    fn system(latency: LatencyConfig) -> GridVineSystem {
+        GridVineSystem::new(GridVineConfig {
+            peers: PEERS,
+            latency,
+            placement: PlacementPolicy::new().replicate("", 3),
+            seed: 3,
+            ..GridVineConfig::default()
+        })
+    }
+
+    fn peers(ids: &[usize]) -> Vec<PeerId> {
+        ids.iter().map(|&i| PeerId::from_index(i)).collect()
+    }
+
+    /// Ask a fresh system and its twin the same question, one through
+    /// `best_new_holder` and one through the full scan; the answers and
+    /// the latency model's next draw must agree.
+    fn assert_same_choice(
+        latency: LatencyConfig,
+        origin: usize,
+        holders: &[usize],
+        setup: impl Fn(&mut GridVineSystem),
+    ) {
+        let mut fast = system(latency.clone());
+        let mut scan = system(latency);
+        setup(&mut fast);
+        setup(&mut scan);
+        let origin = PeerId::from_index(origin);
+        let holders = peers(holders);
+        let at = SimTime::ZERO;
+        assert_eq!(
+            fast.best_new_holder(origin, &holders, at),
+            scan.best_new_holder_scan(origin, &holders, at),
+            "origin {origin}, holders {holders:?}"
+        );
+        let next = |sys: &mut GridVineSystem| {
+            sys.latency
+                .as_deref_mut()
+                .map(|m| m.sample(NodeId::from_index(0), NodeId::from_index(0)))
+        };
+        assert_eq!(next(&mut fast), next(&mut scan), "model stream moved");
+    }
+
+    #[test]
+    fn best_new_holder_matches_full_scan() {
+        let wan = LatencyConfig::planetlab_2007;
+        let none = |_: &mut GridVineSystem| {};
+        // Live non-holder origins: the fast path.
+        assert_same_choice(wan(), 5, &[1, 2], none);
+        assert_same_choice(wan(), PEERS - 1, &[3, 17], none);
+        // The last peer is a holder: the scan places one node less.
+        assert_same_choice(wan(), 5, &[PEERS - 1, PEERS - 2], none);
+        // The origin is the only non-holder: the scan asks the model
+        // nothing.
+        let all_but_origin: Vec<usize> = (0..PEERS).filter(|&i| i != 7).collect();
+        assert_same_choice(wan(), 7, &all_but_origin, none);
+        // Crashed, churned and holding origins take the scan.
+        assert_same_choice(wan(), 5, &[1, 2], |sys| sys.crash_peer(PeerId(5)));
+        assert_same_choice(wan(), 5, &[1, 2], |sys| {
+            sys.install_churn(&[ChurnEvent {
+                at: SimTime::ZERO,
+                node: NodeId::from_index(5),
+                kind: ChurnKind::Fail,
+            }])
+        });
+        assert_same_choice(wan(), 5, &[5, 9], none);
+        // A model drawn from before the question.
+        assert_same_choice(wan(), 5, &[1, 2], |sys| {
+            if let Some(m) = sys.latency.as_deref_mut() {
+                m.sample(NodeId::from_index(2), NodeId::from_index(11));
+            }
+        });
+        // The flat and uniform models.
+        assert_same_choice(LatencyConfig::Flat, 5, &[1, 2], none);
+        assert_same_choice(LatencyConfig::Flat, 5, &[5, 9], none);
+        let uniform = LatencyConfig::Uniform {
+            min: SimDuration::from_millis(5),
+            max: SimDuration::from_millis(50),
+        };
+        assert_same_choice(uniform.clone(), PEERS - 1, &[1, 2], none);
+        assert_same_choice(uniform, 5, &[5, 9], none);
+    }
+
+    /// Rows of a replicated deployment whose subjects share one 24-bit
+    /// key in pairs, with some rows tombstoned.
+    fn loaded() -> (GridVineSystem, Vec<Triple>) {
+        let mut sys = system(LatencyConfig::planetlab_2007());
+        let mut triples = Vec::new();
+        for i in 0..30 {
+            let t = Triple::new(
+                format!("seq:P{}", 10_000 + i).as_str(),
+                format!("S{}#a{}", i % 3, i % 4).as_str(),
+                Term::literal(format!("Aspergillus strain {i}")),
+            );
+            sys.insert_triple(PeerId::from_index(i % PEERS), t.clone())
+                .unwrap();
+            triples.push(t);
+        }
+        for t in triples.iter().step_by(7) {
+            for db in &mut sys.local_dbs {
+                db.remove(t);
+            }
+        }
+        (sys, triples)
+    }
+
+    #[test]
+    fn rows_under_key_matches_full_scan() {
+        let (sys, triples) = loaded();
+        let mut keys: Vec<BitString> = triples
+            .iter()
+            .flat_map(|t| sys.keyspace().triple_keys(t))
+            .collect();
+        keys.sort();
+        keys.dedup();
+        assert!(keys.len() < 3 * triples.len(), "terms share keys");
+        for key in &keys {
+            for i in 0..PEERS {
+                let p = PeerId::from_index(i);
+                assert_eq!(sys.rows_under_key(p, key), sys.rows_under_key_scan(p, key));
+            }
+        }
+    }
+
+    #[test]
+    fn migrate_round_trip_moves_exactly_the_key_rows() {
+        let (mut sys, triples) = loaded();
+        let key = sys.key_of(triples[1].subject.as_str());
+        let src = sys.topology.responsible(&key)[0];
+        let expected = sys.rows_under_key_scan(src, &key);
+        assert!(expected.len() > 1, "the key indexes several rows");
+        let holders = sys.holders_of(&key);
+        let mut spare = (0..PEERS)
+            .map(PeerId::from_index)
+            .filter(|p| !holders.contains(p) && sys.local_dbs[p.index()].is_empty());
+        let (a, b) = (spare.next().unwrap(), spare.next().unwrap());
+        sys.commit_replica(PeerId(0), &key, a).unwrap();
+        assert_eq!(
+            sys.local_dbs[a.index()].iter().collect::<Vec<_>>(),
+            expected
+        );
+        sys.migrate_replica(PeerId(0), &key, a, b).unwrap();
+        assert!(sys.local_dbs[a.index()].is_empty());
+        assert_eq!(
+            sys.local_dbs[b.index()].iter().collect::<Vec<_>>(),
+            expected
+        );
+        assert!(sys.holders_of(&key).contains(&b));
+        assert!(!sys.holders_of(&key).contains(&a));
+    }
 
     #[test]
     fn null_policy_matches_nothing() {

@@ -663,7 +663,7 @@ impl GridVineSystem {
             let route = self.overlay.update_placement(origin, key, &mut self.rng)?;
             let dest = route.destination;
             self.local_dbs[dest.index()].insert(t.clone());
-            for r in self.overlay.view(dest).replicas.clone() {
+            for r in &self.overlay.view(dest).replicas {
                 self.local_dbs[r.index()].insert(t.clone());
             }
         }
@@ -676,7 +676,7 @@ impl GridVineSystem {
         // registry entry promises.
         if let Err(e) = self.place_triple(origin, &t, &keys) {
             for key in &keys {
-                for owner in self.topology.responsible(key).to_vec() {
+                for owner in self.topology.responsible(key) {
                     self.local_dbs[owner.index()].remove(&t);
                 }
             }

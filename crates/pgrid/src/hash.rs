@@ -72,24 +72,72 @@ impl OrderPreservingHash {
     }
 }
 
-impl KeyHasher for OrderPreservingHash {
-    fn hash(&self, data: &str, depth: usize) -> BitString {
-        // Long-division style binary expansion of the fraction
-        //   sum_i digit_i / radix^(i+1)
-        // We keep the current interval [lo, hi) over u128 to avoid
-        // floating-point rounding breaking the order-preserving property.
-        const ONE: u128 = 1 << 100; // fixed-point unit
+/// Fixed-point unit of the interval arithmetic: a fraction in `[0, 1)`
+/// is held as an integer multiple of 2⁻¹⁰⁰.
+const ONE: u128 = 1 << 100;
+
+/// Per-character interval widths of radix `R`: entry `i` is
+/// `ONE / R^(i+1)`, rounded down exactly as repeated integer division
+/// by `R` rounds it (`⌊⌊a/b⌋/b⌋ = ⌊a/b²⌋`).
+const fn radix_widths<const N: usize>(radix: u128) -> [u128; N] {
+    let mut out = [0; N];
+    let mut width = ONE;
+    let mut i = 0;
+    while i < N {
+        width /= radix;
+        out[i] = width;
+        i += 1;
+    }
+    out
+}
+
+/// Widths of the default radix 96: every non-zero one. The 16th
+/// division reaches zero, where the expansion stops.
+const WIDTHS_96: [u128; 15] = radix_widths(96);
+const _: () = assert!(WIDTHS_96[14] > 0 && WIDTHS_96[14] / 96 == 0);
+
+impl OrderPreservingHash {
+    /// Lower end of the string's interval: the fraction
+    /// `Σ digit_i / radix^(i+1)` in units of [`ONE`], exact in `u128` so
+    /// no floating-point rounding can break the order. Characters past
+    /// the point where the interval width reaches zero do not count.
+    fn interval_low(&self, data: &str) -> u128 {
+        let digits = data.as_bytes().iter().map(|&b| self.digit(b) as u128);
+        if self.radix == 96 {
+            return digits.zip(WIDTHS_96).map(|(d, w)| d * w).sum();
+        }
         let mut lo: u128 = 0;
         let mut width: u128 = ONE;
-        for &b in data.as_bytes() {
-            let d = self.digit(b) as u128;
+        for d in digits {
             width /= self.radix as u128;
             if width == 0 {
-                break; // interval exhausted: further characters don't matter
+                break;
             }
             lo += d * width;
         }
-        // Emit `depth` bits of lo as a fraction of ONE.
+        lo
+    }
+}
+
+impl KeyHasher for OrderPreservingHash {
+    /// The first `depth` bits of the binary expansion of the string's
+    /// interval low end.
+    ///
+    /// Cost: one table multiply-add per character (at most 15) for
+    /// the default radix 96, one `u128` division per character for
+    /// other radixes, then one shift for `depth <= 64`.
+    ///
+    /// Exactness: the low end is a 100-bit fraction, so for
+    /// `k <= 100` its `k`-th expansion bit is bit `100 - k` of the
+    /// integer, and the first `depth <= 64` bits are exactly its top
+    /// `depth` bits. Past bit 100 the expansion unit reaches zero and
+    /// every further bit reads 1; keys with `depth > 64` keep the
+    /// bit-by-bit expansion that defines this.
+    fn hash(&self, data: &str, depth: usize) -> BitString {
+        let lo = self.interval_low(data);
+        if depth <= 64 {
+            return BitString::from_u64((lo >> (100 - depth)) as u64, depth);
+        }
         let mut key = BitString::with_capacity(depth);
         let mut acc = lo;
         let mut unit = ONE;
@@ -141,6 +189,40 @@ impl KeyHasher for UniformHash {
             }
             key
         }
+    }
+}
+
+/// The division-per-character, bit-at-a-time hash the table and shift
+/// paths replaced, kept to test them against.
+#[cfg(test)]
+mod reference {
+    use crate::bits::BitString;
+
+    pub(super) fn op_hash(radix: u32, offset: u32, data: &str, depth: usize) -> BitString {
+        const ONE: u128 = 1 << 100;
+        let mut lo: u128 = 0;
+        let mut width: u128 = ONE;
+        for &b in data.as_bytes() {
+            let d = (b as u32).saturating_sub(offset).min(radix - 1) as u128;
+            width /= radix as u128;
+            if width == 0 {
+                break;
+            }
+            lo += d * width;
+        }
+        let mut key = BitString::with_capacity(depth);
+        let mut acc = lo;
+        let mut unit = ONE;
+        for _ in 0..depth {
+            unit /= 2;
+            if acc >= unit {
+                key.push(true);
+                acc -= unit;
+            } else {
+                key.push(false);
+            }
+        }
+        key
     }
 }
 
@@ -212,6 +294,36 @@ mod tests {
     }
 
     #[test]
+    fn op_hash_matches_reference_on_edge_depths_and_bytes() {
+        let long = "EMBL#OrganismClassification/Aspergillus";
+        let words = [
+            "",
+            "A",
+            " ",
+            "~~~~",
+            "\u{7f}\u{1}\t",
+            "é",
+            "Aspergillus niger",
+            "seq:P10000",
+            &long[..17],
+            &long[..18],
+            long,
+        ];
+        for (radix, offset) in [(96, 0x20), (26, u32::from(b'a')), (2, 0x30)] {
+            let h = OrderPreservingHash::new(radix, offset);
+            for word in words {
+                for depth in [0, 1, 24, 63, 64, 65, 100, 128] {
+                    assert_eq!(
+                        h.hash(word, depth),
+                        reference::op_hash(radix, offset, word, depth),
+                        "radix {radix}, {word:?} at depth {depth}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn uniform_hash_fixed_depth_and_deterministic() {
         let h = UniformHash;
         for depth in [1, 16, 32, 64, 80, 150] {
@@ -256,6 +368,16 @@ mod proptests {
                 std::cmp::Ordering::Greater => prop_assert!(ka >= kb),
                 std::cmp::Ordering::Equal => prop_assert_eq!(ka, kb),
             }
+        }
+
+        /// The table and shift paths agree with the reference for any
+        /// bytes, at every depth, in the default and another radix.
+        #[test]
+        fn op_hash_matches_reference(s in "[ -~]{0,24}", depth in 0usize..140, radix in 2u32..120) {
+            let default = OrderPreservingHash::default();
+            prop_assert_eq!(default.hash(&s, depth), reference::op_hash(96, 0x20, &s, depth));
+            let other = OrderPreservingHash::new(radix, 0x20);
+            prop_assert_eq!(other.hash(&s, depth), reference::op_hash(radix, 0x20, &s, depth));
         }
 
         /// Both hashers always emit exactly `depth` bits.

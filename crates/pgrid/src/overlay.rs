@@ -60,6 +60,14 @@ impl Route {
 pub struct Overlay<V> {
     views: Vec<PeerView>,
     stores: Vec<Store<V>>,
+    /// One peer index per distinct path, sorted by path: the regions a
+    /// range scan can visit ([`Overlay::range_regions`]).
+    regions: Vec<u32>,
+    /// Forwarding edges a route may take before it is declared a loop:
+    /// the deepest path doubled plus 8, which allows for replica
+    /// indirection without masking real routing loops. Views never
+    /// change after construction, so it is fixed there.
+    hop_budget: usize,
     /// Replication degree applied by `update`: the responsible peer plus
     /// its replicas all store the item (the paper's σ(p) duplication).
     replicate: bool,
@@ -73,9 +81,13 @@ impl<V: Clone + PartialEq> Overlay<V> {
             .map(|i| topology.view(PeerId::from_index(i)))
             .collect();
         let stores = (0..topology.len()).map(|_| Store::new()).collect();
+        let regions = sorted_regions(&views);
+        let hop_budget = 2 * views.iter().map(|v| v.path.len()).max().unwrap_or(0) + 8;
         Overlay {
             views,
             stores,
+            regions,
+            hop_budget,
             replicate: true,
             messages_sent: 0,
         }
@@ -117,16 +129,14 @@ impl<V: Clone + PartialEq> Overlay<V> {
     }
 
     /// Route `key` from `origin` to a responsible peer using greedy
-    /// prefix routing over peer-local views only.
+    /// prefix routing over peer-local views only, within the hop budget
+    /// fixed at construction.
     pub fn route<R: Rng + ?Sized>(
         &mut self,
         origin: PeerId,
         key: &BitString,
         rng: &mut R,
     ) -> Result<Route, RouteError> {
-        // Hop budget: the tree depth bounds legal routes; 2× + 8 allows
-        // for replica indirection without masking real routing loops.
-        let budget = 2 * self.views.iter().map(|v| v.path.len()).max().unwrap_or(0) + 8;
         let mut current = origin;
         let mut hops = vec![origin];
         loop {
@@ -148,8 +158,10 @@ impl<V: Clone + PartialEq> Overlay<V> {
                     };
                     self.messages_sent += 1;
                     hops.push(next);
-                    if hops.len() > budget {
-                        return Err(RouteError::TooManyHops { budget });
+                    if hops.len() > self.hop_budget {
+                        return Err(RouteError::TooManyHops {
+                            budget: self.hop_budget,
+                        });
                     }
                     current = next;
                 }
@@ -171,8 +183,7 @@ impl<V: Clone + PartialEq> Overlay<V> {
         let dest = route.destination;
         self.stores[dest.index()].apply(op, key.clone(), value.clone());
         if self.replicate {
-            let replicas = self.views[dest.index()].replicas.clone();
-            for r in replicas {
+            for r in &self.views[dest.index()].replicas {
                 self.messages_sent += 1;
                 self.stores[r.index()].apply(op, key.clone(), value.clone());
             }
@@ -269,17 +280,11 @@ impl<V: Clone + PartialEq> Overlay<V> {
     /// replica groups a range scan must visit, sorted. Factored out of
     /// [`Overlay::retrieve_range`] so range callers that evaluate at
     /// the destination peers can walk the same regions with the same
-    /// accounting.
+    /// accounting. Answered from the sorted distinct paths with at most
+    /// `prefix.len()` binary searches plus one per region returned,
+    /// without visiting peers.
     pub fn range_regions(&self, prefix: &BitString) -> Vec<BitString> {
-        let mut regions: Vec<BitString> = Vec::new();
-        for v in &self.views {
-            let intersects = prefix.is_prefix_of(&v.path) || v.path.is_prefix_of(prefix);
-            if intersects && !regions.contains(&v.path) {
-                regions.push(v.path.clone());
-            }
-        }
-        regions.sort();
-        regions
+        regions_intersecting(&self.views, &self.regions, prefix)
     }
 
     /// Range retrieval: collect every value whose key starts with
@@ -317,6 +322,55 @@ impl<V: Clone + PartialEq> Overlay<V> {
             }
         }
         Ok(out)
+    }
+}
+
+/// One peer index per distinct path of `views`, sorted by path.
+fn sorted_regions(views: &[PeerView]) -> Vec<u32> {
+    let mut regions: Vec<u32> = (0..views.len() as u32).collect();
+    regions.sort_by(|&a, &b| views[a as usize].path.cmp(&views[b as usize].path));
+    regions.dedup_by(|a, b| views[*a as usize].path == views[*b as usize].path);
+    regions
+}
+
+/// The region paths (`regions` from [`sorted_regions`]) that intersect
+/// `prefix`, in order. A path intersects when it is a proper ancestor
+/// of the prefix (at most one lookup per shorter length) or extends it;
+/// in the lexicographic bit order the extensions are one contiguous
+/// range that starts at the prefix itself, after every ancestor.
+fn regions_intersecting(views: &[PeerView], regions: &[u32], prefix: &BitString) -> Vec<BitString> {
+    let path = |r: &u32| &views[*r as usize].path;
+    let mut out: Vec<BitString> = (0..prefix.len())
+        .map(|len| prefix.prefix(len))
+        .filter(|ancestor| regions.binary_search_by(|r| path(r).cmp(ancestor)).is_ok())
+        .collect();
+    let start = regions.partition_point(|r| path(r) < prefix);
+    out.extend(
+        regions[start..]
+            .iter()
+            .map(path)
+            .take_while(|p| prefix.is_prefix_of(p))
+            .cloned(),
+    );
+    out
+}
+
+/// The peer-by-peer region scan [`regions_intersecting`] replaced,
+/// kept to test it against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn range_regions(views: &[PeerView], prefix: &BitString) -> Vec<BitString> {
+        let mut regions: Vec<BitString> = Vec::new();
+        for v in views {
+            let intersects = prefix.is_prefix_of(&v.path) || v.path.is_prefix_of(prefix);
+            if intersects && !regions.contains(&v.path) {
+                regions.push(v.path.clone());
+            }
+        }
+        regions.sort();
+        regions
     }
 }
 
@@ -565,6 +619,14 @@ mod proptests {
     use proptest::prelude::*;
     use rand::SeedableRng;
 
+    fn bits_of(bits: &[bool]) -> BitString {
+        let mut b = BitString::empty();
+        for &bit in bits {
+            b.push(bit);
+        }
+        b
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -586,6 +648,47 @@ mod proptests {
             let route = o.route(origin, &key, &mut rng).expect("balanced grid always routes");
             prop_assert!(o.view(route.destination).is_responsible(&key));
             prop_assert!(route.messages() as usize <= topo.depth() + 1);
+        }
+
+        /// The sorted-path region lookup agrees with the peer-by-peer
+        /// scan on balanced grids, for prefixes shorter and longer than
+        /// the peer paths.
+        #[test]
+        fn range_regions_match_linear_scan(
+            n in 1usize..300,
+            seed in 0u64..30,
+            prefixes in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 0..14), 1..20),
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let o: Overlay<u8> = Overlay::new(&Topology::balanced(n, 2, &mut rng));
+            for bits in prefixes {
+                let prefix = bits_of(&bits);
+                prop_assert_eq!(o.range_regions(&prefix), reference::range_regions(&o.views, &prefix));
+            }
+        }
+
+        /// Path sets need not be prefix-free: several ancestors, the
+        /// prefix itself and duplicates all come out once, in order.
+        #[test]
+        fn regions_intersecting_matches_linear_scan_on_any_paths(
+            paths in proptest::collection::vec(proptest::collection::vec(any::<bool>(), 0..8), 0..40),
+            prefix in proptest::collection::vec(any::<bool>(), 0..10),
+        ) {
+            let views: Vec<PeerView> = paths
+                .iter()
+                .enumerate()
+                .map(|(i, bits)| PeerView {
+                    id: PeerId::from_index(i),
+                    path: bits_of(bits),
+                    replicas: Vec::new(),
+                    refs: Vec::new(),
+                })
+                .collect();
+            let prefix = bits_of(&prefix);
+            prop_assert_eq!(
+                regions_intersecting(&views, &sorted_regions(&views), &prefix),
+                reference::range_regions(&views, &prefix)
+            );
         }
 
         /// Insert/retrieve round-trips for arbitrary words across sizes.

@@ -782,6 +782,38 @@ impl TripleStore {
         n
     }
 
+    /// Live triples at least one of whose three lexicals satisfies
+    /// `pred`, in ascending row id — the order [`TripleStore::iter`]
+    /// yields them. `pred` runs at most once per distinct term id the
+    /// live rows mention (a lazy per-id memo), never per row and
+    /// position, and only the matching rows are materialized.
+    /// Equivalent to
+    /// `iter().filter(|t| pred(s) || pred(p) || pred(o.lexical()))`.
+    pub fn rows_where_any_term(&self, mut pred: impl FnMut(&str) -> bool) -> Vec<Triple> {
+        const UNSEEN: u8 = 0;
+        const PASS: u8 = 1;
+        const FAIL: u8 = 2;
+        let cols = &self.cols;
+        let mut memo = vec![UNSEEN; self.dict.id_bound()];
+        let mut passes = |id: TermId| {
+            let seen = &mut memo[id.index()];
+            if *seen == UNSEEN {
+                *seen = if pred(self.dict.resolve(id)) {
+                    PASS
+                } else {
+                    FAIL
+                };
+            }
+            *seen == PASS
+        };
+        (0..cols.len() as u32)
+            .filter(|&r| {
+                !cols.is_dead(r) && Position::ALL.iter().any(|&pos| passes(cols.id_at(r, pos)))
+            })
+            .map(|r| self.triple_of(r))
+            .collect()
+    }
+
     /// Iterate over live triples (materialized on the fly).
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.rows().triples()
@@ -1983,7 +2015,48 @@ mod proptests {
         out
     }
 
+    /// Triples whose lexicals come from one small alphabet, so a term
+    /// often appears in several positions and several rows.
+    fn arb_shared_triple() -> impl Strategy<Value = Triple> {
+        ("[a-d]{1,2}", "[a-d]{1,2}", "[a-d]{1,2}", any::<bool>()).prop_map(|(s, p, o, lit)| {
+            let object = if lit { Term::literal(o) } else { Term::uri(o) };
+            Triple::new(s.as_str(), p.as_str(), object)
+        })
+    }
+
     proptest! {
+        /// `rows_where_any_term` is the filter over `iter()`, row for
+        /// row and in the same order, across seals and tombstones, and
+        /// tests each distinct term once.
+        #[test]
+        fn rows_where_any_term_matches_filtered_scan(
+            triples in proptest::collection::vec(arb_shared_triple(), 0..200),
+            removals in proptest::collection::vec(any::<prop::sample::Index>(), 0..30),
+            accept in "[a-d]",
+        ) {
+            let mut db = TripleStore::new();
+            for t in &triples {
+                db.insert(t.clone());
+            }
+            for idx in &removals {
+                let live: Vec<Triple> = db.iter().collect();
+                if live.is_empty() { break; }
+                prop_assert!(db.remove(&live[idx.index(live.len())]));
+            }
+            let pred = |lex: &str| lex.contains(accept.as_str());
+            let expected: Vec<Triple> = db
+                .iter()
+                .filter(|t| pred(t.subject.as_str()) || pred(t.predicate.as_str()) || pred(t.object.lexical()))
+                .collect();
+            let mut calls: BTreeMap<String, usize> = BTreeMap::new();
+            let got = db.rows_where_any_term(|lex| {
+                *calls.entry(lex.to_string()).or_default() += 1;
+                pred(lex)
+            });
+            prop_assert_eq!(got, expected);
+            prop_assert!(calls.values().all(|&n| n == 1), "{:?}", calls);
+        }
+
         /// The three indexes agree with a full scan, for every position.
         #[test]
         fn indexes_agree_with_scan(triples in proptest::collection::vec(arb_triple(), 0..40),
